@@ -6,74 +6,24 @@ evaluates the closed-form quantization errors, and independently
 verifies both with a certified distortion engine (exact rational
 interval arithmetic over the product cell tree) plus Lloyd iteration
 and multistart search.  All arithmetic is exact; floats never appear.
+
+Every other name is importable from its own module: ``words``,
+``measure``, ``moments``, ``optimal``, ``engine``, ``plot`` and ``cli``.
 """
 
+from . import cli
 from .engine import (
-    DEFAULT_MAX_DEPTH,
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TOLERANCE,
-    UNRESOLVED,
-    CellAssignment,
-    CertifiedInterval,
-    EmptyRegionError,
-    Lcg64,
-    LloydResult,
-    MultistartResult,
-    ResolutionError,
-    RunRecord,
-    RunStatus,
     exact_distortion,
     iter_assignments,
     lloyd,
     lloyd_step,
     multistart_search,
-    resolve_cell,
 )
-from .measure import (
-    Map1D,
-    Map2D,
-    Point,
-    Region,
-    RegionKind,
-    cantor_point,
-    cell_interval,
-    cell_region,
-    conjugacy_check,
-    format_rational,
-    interval_mass,
-    map_S,
-    map_T,
-    map_T_word,
-    map_U,
-    parse_rational,
-    prob,
-    ratio,
-    ratios,
-    rect_region,
-    tail_region,
-)
-from .moments import (
-    AXIS_VARIANCE,
-    MEAN,
-    TOTAL_VARIANCE,
-    MomentSummary,
-    centroid,
-    region_centroid,
-    region_moments,
-    single_center_distortion,
-    tail_centroid,
-    union_centroid,
-    union_distortion,
-)
+from .measure import Point
 from .optimal import (
     Codebook,
-    Regime,
-    VariantSpec,
     codebook_for,
     count_variants,
-    enumerate_variants,
-    grid_cells,
-    level,
     optimal_codebook,
     quantization_error,
     spread_indices,
@@ -81,93 +31,24 @@ from .optimal import (
     variant_index,
 )
 from .plot import render_svg
-from .words import (
-    BinaryWord,
-    F_inverse,
-    F_map,
-    NatWord,
-    PairWord,
-    TailMarker,
-    components,
-    f_map,
-    parent,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXIS_VARIANCE",
-    "BinaryWord",
-    "CellAssignment",
-    "CertifiedInterval",
     "Codebook",
-    "DEFAULT_MAX_DEPTH",
-    "DEFAULT_MAX_ITERS",
-    "DEFAULT_TOLERANCE",
-    "EmptyRegionError",
-    "F_inverse",
-    "F_map",
-    "Lcg64",
-    "LloydResult",
-    "MEAN",
-    "Map1D",
-    "Map2D",
-    "MomentSummary",
-    "MultistartResult",
-    "NatWord",
-    "PairWord",
     "Point",
-    "Regime",
-    "Region",
-    "RegionKind",
-    "ResolutionError",
-    "RunRecord",
-    "RunStatus",
-    "TOTAL_VARIANCE",
-    "TailMarker",
-    "UNRESOLVED",
-    "VariantSpec",
-    "cantor_point",
-    "cell_interval",
-    "cell_region",
-    "centroid",
+    "cli",
     "codebook_for",
-    "components",
-    "conjugacy_check",
     "count_variants",
-    "enumerate_variants",
     "exact_distortion",
-    "f_map",
-    "format_rational",
-    "grid_cells",
-    "interval_mass",
     "iter_assignments",
-    "level",
     "lloyd",
     "lloyd_step",
-    "map_S",
-    "map_T",
-    "map_T_word",
-    "map_U",
     "multistart_search",
     "optimal_codebook",
-    "parent",
-    "parse_rational",
-    "prob",
     "quantization_error",
-    "ratio",
-    "ratios",
-    "rect_region",
-    "region_centroid",
-    "region_moments",
     "render_svg",
-    "resolve_cell",
-    "single_center_distortion",
     "spread_indices",
-    "tail_centroid",
-    "tail_region",
-    "union_centroid",
-    "union_distortion",
     "variant_by_index",
     "variant_index",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -49,24 +48,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Validated per-command settings."""
-
-    command: str
-    n: int = 0
-    variant_index: int | None = None
-    all_variants: bool = False
-    codebook_path: str | None = None
-    tolerance: str = "1e-12"
-    depth: int = 0
-    seeds: int = 200
-    rng_seed: int = 1
-    max_variants: int = 100
-    format: str = "json"
-    output_path: str | None = None
 
 
 def approx_str(value: Fraction, digits: int = 10) -> str:
@@ -125,11 +106,11 @@ def _points_csv(book: Codebook, variant: int) -> list[str]:
     ]
 
 
-def cmd_optimal(cfg: RunConfig) -> int:
-    n = cfg.n
+def cmd_optimal(args: argparse.Namespace) -> int:
+    n = args.n
     total = _count_for(n)
     error = quantization_error(n)
-    if cfg.all_variants:
+    if args.all:
         if total > ENUM_ALL_LIMIT:
             print(
                 f"refusing to enumerate {total} variants for n={n}; "
@@ -139,7 +120,7 @@ def cmd_optimal(cfg: RunConfig) -> int:
             return EXIT_USAGE
         indices = range(total)
     else:
-        index = cfg.variant_index if cfg.variant_index is not None else 0
+        index = args.variant if args.variant is not None else 0
         if not 0 <= index < total:
             print(
                 f"variant {index} out of range: n={n} has {total} "
@@ -149,7 +130,7 @@ def cmd_optimal(cfg: RunConfig) -> int:
             return EXIT_USAGE
         indices = range(index, index + 1)
     books = [(i, optimal_codebook(n, i)) for i in indices]
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = [
             f"# n={n} count={total} error={format_rational(error)} "
             f"approx={approx_str(error)}",
@@ -157,8 +138,8 @@ def cmd_optimal(cfg: RunConfig) -> int:
         ]
         for i, book in books:
             lines.extend(_points_csv(book, i))
-        return _emit("\n".join(lines) + "\n", cfg.output_path)
-    if cfg.all_variants:
+        return _emit("\n".join(lines) + "\n", args.out)
+    if args.all:
         obj = {
             "n": n,
             "count": total,
@@ -178,17 +159,17 @@ def cmd_optimal(cfg: RunConfig) -> int:
             "error_approx": approx_str(error),
             "points": [p.to_json() for p in book],
         }
-    return _emit(json.dumps(obj, indent=2) + "\n", cfg.output_path)
+    return _emit(json.dumps(obj, indent=2) + "\n", args.out)
 
 
-def cmd_error(cfg: RunConfig) -> int:
-    value = quantization_error(cfg.n)
+def cmd_error(args: argparse.Namespace) -> int:
+    value = quantization_error(args.n)
     print(f"{format_rational(value)} = {approx_str(value)} (approx)")
     return EXIT_OK
 
 
-def cmd_distortion(cfg: RunConfig) -> int:
-    path = cfg.codebook_path
+def cmd_distortion(args: argparse.Namespace) -> int:
+    path = args.codebook
     try:
         with open(path) as handle:
             text = handle.read()
@@ -206,23 +187,23 @@ def cmd_distortion(cfg: RunConfig) -> int:
         return EXIT_IO
     try:
         book = Codebook.from_json_obj(obj)
-    except (KeyError, TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:
         print(f"invalid codebook in {path}: {err}", file=sys.stderr)
         return EXIT_IO
     try:
-        tol = _parse_tolerance(cfg.tolerance)
+        tol = _parse_tolerance(args.tol)
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
-    interval = exact_distortion(book, tol, cfg.depth)
+    interval = exact_distortion(book, tol, args.depth)
     print(json.dumps(interval.to_json_obj()))
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    n = cfg.n
+def cmd_verify(args: argparse.Namespace) -> int:
+    n = args.n
     try:
-        tol = _parse_tolerance(cfg.tolerance)
+        tol = _parse_tolerance(args.tol)
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
@@ -230,17 +211,17 @@ def cmd_verify(cfg: RunConfig) -> int:
     print(f"n = {n}")
     print(f"closed-form error = {format_rational(target)} = {approx_str(target)} (approx)")
     total = _count_for(n)
-    checked = spread_indices(total, cfg.max_variants)
+    checked = spread_indices(total, args.max_variants)
     sampled = " (evenly sampled)" if len(checked) < total else ""
     print(f"variants = {total}, checking {len(checked)}{sampled}")
     failed_variants = 0
     for i in checked:
         book = optimal_codebook(n, i)
-        ok = lloyd_step(book, cfg.depth) == book
+        ok = lloyd_step(book, args.depth) == book
         failed_variants += 0 if ok else 1
         print(f"variant {i}: fixed point {'PASS' if ok else 'FAIL'}")
-    result = multistart_search(n, cfg.seeds, cfg.rng_seed, cfg.depth)
-    print(f"multistart: seeds={cfg.seeds} rng_seed={cfg.rng_seed} depth={cfg.depth}")
+    result = multistart_search(n, args.seeds, args.rng_seed, args.depth)
+    print(f"multistart: seeds={args.seeds} rng_seed={args.rng_seed} depth={args.depth}")
     tally = result.tally()
     print("statuses: " + " ".join(f"{s.value}={tally[s]}" for s in RunStatus))
     best = result.best
@@ -263,14 +244,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    print(count_variants(cfg.n))
+def cmd_count(args: argparse.Namespace) -> int:
+    print(count_variants(args.n))
     return EXIT_OK
 
 
-def cmd_plot(cfg: RunConfig) -> int:
-    svg = render_svg(cfg.n, cfg.depth)
-    return _emit(svg, cfg.output_path)
+def cmd_plot(args: argparse.Namespace) -> int:
+    svg = render_svg(args.n, args.depth)
+    return _emit(svg, args.out)
 
 
 _HANDLERS = {
@@ -326,25 +307,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 0),
-        variant_index=getattr(args, "variant", None),
-        all_variants=getattr(args, "all", False),
-        codebook_path=getattr(args, "codebook", None),
-        tolerance=getattr(args, "tol", "1e-12"),
-        depth=getattr(args, "depth", 0),
-        seeds=getattr(args, "seeds", 200),
-        rng_seed=getattr(args, "rng_seed", 1),
-        max_variants=getattr(args, "max_variants", 100),
-        format=getattr(args, "format", "json"),
-        output_path=getattr(args, "out", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from(args)
-    return _HANDLERS[cfg.command](cfg)
+    return _HANDLERS[args.command](args)

@@ -3,15 +3,17 @@
 The engine answers one question rigorously: how large is the distortion
 integral of an arbitrary finite codebook against the product measure?
 It recurses over the square product cells, keeping for each cell the
-subset of codewords that can still own part of it.  A codeword is
-discarded when a rival is weakly closer at all four rectangle corners:
-the closer-to-the-rival set is a closed half-plane, which contains the
-rectangle as soon as it contains the corners.  A cell with a single
-survivor is owned outright and contributes a closed-form integral; a
-contested cell splits into its four children.  Contested cells at the
-depth limit contribute certified lower and upper bounds instead, so the
-result is always a correct enclosure, and it is exact whenever the
-recursion terminates.
+subset of codewords that can still own part of it.  The depth-d cells
+are lattice squares [x, x+1] x [y, y+1] * 3^-d, so the walk runs on
+integers.  A codeword is discarded when a rival is weakly closer on the
+whole cell rectangle: the closer-to-the-rival set is a closed
+half-plane, so one corner decides, the one furthest into the codeword's
+side (the single-corner test of Kanungo et al., TPAMI 2002).  A cell
+with a single survivor is owned outright and contributes a closed-form
+integral; a contested cell splits into its four children.  Contested
+cells at the depth limit contribute certified lower and upper bounds
+instead, so the result is always a correct enclosure, and it is exact
+whenever the recursion terminates.
 
 Everything runs in exact rational arithmetic.  Distances appear only
 squared; no roots, no rounding.
@@ -21,22 +23,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .measure import (
-    Point,
-    Region,
-    RegionKind,
-    TailMarker,
-    cell_region,
-    format_rational,
-)
-from .moments import region_centroid, region_moments, single_center_distortion
+from .measure import Point, format_rational
 from .optimal import Codebook
-from .words import BinaryWord
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 40
@@ -44,41 +38,126 @@ DEFAULT_MAX_ITERS = 50
 
 UNRESOLVED = None
 
-_ROOT_CELL = cell_region(BinaryWord(""), BinaryWord(""))
 
+class Cell(NamedTuple):
+    """The depth-d product cell [x, x+1] x [y, y+1] * 3^-d.
 
-def _children(region: Region) -> tuple[Region, ...]:
-    """The four child product cells, built in O(1) from the parent.
-
-    Recomposing each cell's affine map from the root costs O(depth) per
-    node and dominates deep walks; the child rectangle is just a corner
-    third of the parent's.
+    These are the cells U_s[0,1] x U_t[0,1] with |s| = |t| = d: the base-3
+    digits of x spell s with 0 for the map U_1 and 2 for U_2, and those of
+    y spell t.
     """
-    rx = region.ratio_x / 3
-    ry = region.ratio_y / 3
-    mass = region.mass / 4
-    xs = ((region.x0, region.x0 + rx), (region.x1 - rx, region.x1))
-    ys = ((region.y0, region.y0 + ry), (region.y1 - ry, region.y1))
-    sigmas = (region.sigma.append(1), region.sigma.append(2))
-    taus = (region.tau.append(1), region.tau.append(2))
-    return tuple(
-        Region(
-            kind=RegionKind.CELL,
-            word=None,
-            tail=TailMarker.NONE,
-            sigma=sigmas[a],
-            tau=taus[b],
-            mass=mass,
-            ratio_x=rx,
-            ratio_y=ry,
-            x0=xs[a][0],
-            x1=xs[a][1],
-            y0=ys[b][0],
-            y1=ys[b][1],
+
+    depth: int
+    x: int
+    y: int
+
+    @property
+    def mass(self) -> Fraction:
+        return Fraction(1, 4**self.depth)
+
+    def children(self) -> tuple[Cell, Cell, Cell, Cell]:
+        """The four subcells one level down, in address order."""
+        d, x, y = self.depth + 1, 3 * self.x, 3 * self.y
+        return (Cell(d, x, y), Cell(d, x, y + 2), Cell(d, x + 2, y), Cell(d, x + 2, y + 2))
+
+    def address(self) -> str:
+        """The binary word pair, e.g. "(12,21)"; an empty word prints as ∅."""
+        return f"({_binary_word(self.x, self.depth)},{_binary_word(self.y, self.depth)})"
+
+
+def _binary_word(v: int, depth: int) -> str:
+    digits = []
+    for _ in range(depth):
+        v, r = divmod(v, 3)
+        digits.append("1" if r == 0 else "2")
+    return "".join(reversed(digits)) or "∅"
+
+
+class _LatticeBook:
+    """A codebook scaled onto the integer lattice, with its pairwise bisectors.
+
+    D is the lcm of all coordinate denominators and P_i = D z_i.  Rival j
+    is weakly closer than codeword i at a point c exactly when
+    2c.(z_i - z_j) <= |z_i|^2 - |z_j|^2.  With c = C/3^d and cleared
+    denominators that reads C.u <= 3^d k for u = 2D(P_i - P_j) and
+    k = |P_i|^2 - |P_j|^2, and over the corners of a cell the left side is
+    largest at the one corner picked by the signs of u.
+    """
+
+    def __init__(self, points: Sequence[Point]):
+        d = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+        self.scale = d
+        self.coords = [
+            (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
+            for p in points
+        ]
+        # rivals[i][j] = (u_x, u_y, reach, k); reach = max over the unit
+        # square's corners (a, b) of a*u_x + b*u_y.
+        self.rivals = []
+        for xi, yi in self.coords:
+            row = []
+            for xj, yj in self.coords:
+                ux, uy = 2 * d * (xi - xj), 2 * d * (yi - yj)
+                k = xi * xi + yi * yi - xj * xj - yj * yj
+                row.append((ux, uy, max(ux, 0) + max(uy, 0), k))
+            self.rivals.append(row)
+
+    def survivors(self, cell: Cell, active: tuple[int, ...]) -> tuple[int, ...]:
+        """Active codewords not dominated on the cell by another active one.
+
+        Dropped codewords cannot own any point of the cell.  Two distinct
+        codewords can never dominate each other: that would put four
+        non-collinear corners on one bisector line.
+        """
+        if len(active) == 1:
+            return active
+        x, y, s = cell.x, cell.y, 3**cell.depth
+        keep = []
+        for i in active:
+            rivals = self.rivals[i]
+            for j in active:
+                if j != i:
+                    ux, uy, reach, k = rivals[j]
+                    if x * ux + y * uy + reach <= s * k:
+                        break
+            else:
+                keep.append(i)
+        return tuple(keep)
+
+    def nearest_integral(self, cell: Cell, active: tuple[int, ...]) -> Fraction:
+        """Integral of |p - z|^2 over the cell, z the active codeword
+        nearest the cell's centroid.
+
+        Exact for a single owner; for a contested cell it overestimates
+        the true minimum.  Parallel-axis form: mass * (2 * 9^-d / 8 +
+        |centroid - z|^2), with the centroid at the cell midpoint and the
+        offsets in units of 1/(2 * 3^d * D).
+        """
+        d = self.scale
+        s2 = 2 * 3**cell.depth
+        cx, cy = (2 * cell.x + 1) * d, (2 * cell.y + 1) * d
+        gap = min(
+            (cx - s2 * a) ** 2 + (cy - s2 * b) ** 2
+            for a, b in (self.coords[i] for i in active)
         )
-        for a in (0, 1)
-        for b in (0, 1)
-    )
+        return Fraction(d * d + gap, 4 * 36**cell.depth * d * d)
+
+    def lower_bound(self, cell: Cell, active: tuple[int, ...]) -> Fraction:
+        """Mass times the squared distance from the cell rectangle to its
+        nearest active codeword; offsets in units of 1/(3^d * D)."""
+        d = self.scale
+        s = 3**cell.depth
+        x0, y0 = cell.x * d, cell.y * d
+        gap = min(
+            _outside(x0, x0 + d, s * a) ** 2 + _outside(y0, y0 + d, s * b) ** 2
+            for a, b in (self.coords[i] for i in active)
+        )
+        return Fraction(gap, 36**cell.depth * d * d)
+
+
+def _outside(lo: int, hi: int, v: int) -> int:
+    """Distance from v to the interval [lo, hi]."""
+    return lo - v if v < lo else v - hi if v > hi else 0
 
 
 class ResolutionError(Exception):
@@ -134,102 +213,8 @@ class CertifiedInterval:
 class CellAssignment:
     """A product cell together with its owning codeword, if unique."""
 
-    cell: Region
+    cell: Cell
     owner: int | None
-
-
-def _corner_table(
-    points: Sequence[Point], active: Sequence[int], region: Region
-) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    corners = (
-        (region.x0, region.y0),
-        (region.x0, region.y1),
-        (region.x1, region.y0),
-        (region.x1, region.y1),
-    )
-    table = []
-    for i in active:
-        p = points[i]
-        table.append(
-            tuple((p.x - cx) ** 2 + (p.y - cy) ** 2 for cx, cy in corners)
-        )
-    return table
-
-
-def _survivors(
-    points: Sequence[Point], active: Sequence[int], region: Region
-) -> tuple[int, ...]:
-    """Active codewords not corner-dominated by another active codeword.
-
-    Domination at all four corners extends to the whole rectangle by
-    convexity of half-planes, so dropped codewords cannot own any point
-    of the cell.  Two distinct codewords can never dominate each other:
-    that would put four non-collinear corners on one bisector line.
-    """
-    if len(active) == 1:
-        return tuple(active)
-    table = _corner_table(points, active, region)
-    keep = []
-    for pos, i in enumerate(active):
-        row = table[pos]
-        dominated = False
-        for rival_pos in range(len(active)):
-            if rival_pos == pos:
-                continue
-            rival = table[rival_pos]
-            if all(rival[c] <= row[c] for c in range(4)):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return tuple(keep)
-
-
-def resolve_cell(cell: Region, codebook: Codebook) -> int | None:
-    """The codeword owning the whole cell rectangle, or UNRESOLVED.
-
-    The owner is the codeword weakly closest at all four corners against
-    every rival; by convexity it is then weakly closest on the whole
-    rectangle, with ties confined to the boundary.
-    """
-    active = tuple(range(len(codebook)))
-    surv = _survivors(codebook.points, active, cell)
-    if len(surv) == 1:
-        return surv[0]
-    return UNRESOLVED
-
-
-def _rect_dist2(region: Region, p: Point) -> Fraction:
-    zero = Fraction(0)
-    if p.x < region.x0:
-        dx = region.x0 - p.x
-    elif p.x > region.x1:
-        dx = p.x - region.x1
-    else:
-        dx = zero
-    if p.y < region.y0:
-        dy = region.y0 - p.y
-    elif p.y > region.y1:
-        dy = p.y - region.y1
-    else:
-        dy = zero
-    return dx * dx + dy * dy
-
-
-def _bracket(
-    points: Sequence[Point], active: Sequence[int], region: Region
-) -> tuple[Fraction, Fraction]:
-    """Certified bounds for a contested cell.
-
-    Lower: every point of the cell is at least as far from each codeword
-    as the rectangle itself.  Upper: assigning the whole cell to the
-    codeword nearest its centroid overestimates the true minimum.
-    """
-    best_rect = min(_rect_dist2(region, points[i]) for i in active)
-    cent = region_centroid(region)
-    best_cent = min(cent.dist2(points[i]) for i in active)
-    second = region_moments(region).second_moment_about_centroid
-    return region.mass * best_rect, second + region.mass * best_cent
 
 
 def exact_distortion(
@@ -250,7 +235,7 @@ def exact_distortion(
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    points = codebook.points
+    book = _LatticeBook(codebook.points)
     resolved = Fraction(0)
     stuck_lo = Fraction(0)
     stuck_up = Fraction(0)
@@ -260,28 +245,29 @@ def exact_distortion(
     heap: list[tuple] = []
     tick = itertools.count()
 
-    def consider(region: Region, active: tuple[int, ...]) -> None:
+    def consider(cell: Cell, active: tuple[int, ...]) -> None:
         nonlocal resolved, stuck_lo, stuck_up, stuck_cells, pending_lo, pending_up
-        surv = _survivors(points, active, region)
+        surv = book.survivors(cell, active)
+        up = book.nearest_integral(cell, surv)
         if len(surv) == 1:
-            resolved += single_center_distortion(region, points[surv[0]])
+            resolved += up
             return
-        lo, up = _bracket(points, surv, region)
-        if len(region.sigma) >= max_depth:
+        lo = book.lower_bound(cell, surv)
+        if cell.depth >= max_depth:
             stuck_cells += 1
             stuck_lo += lo
             stuck_up += up
         else:
             pending_lo += lo
             pending_up += up
-            heapq.heappush(heap, (lo - up, next(tick), region, surv, lo, up))
+            heapq.heappush(heap, (lo - up, next(tick), cell, surv, lo, up))
 
-    consider(_ROOT_CELL, tuple(range(len(points))))
+    consider(Cell(0, 0, 0), tuple(range(len(codebook))))
     while heap and (pending_up - pending_lo) + (stuck_up - stuck_lo) > tolerance:
-        _, _, region, surv, lo, up = heapq.heappop(heap)
+        _, _, cell, surv, lo, up = heapq.heappop(heap)
         pending_lo -= lo
         pending_up -= up
-        for child in _children(region):
+        for child in cell.children():
             consider(child, surv)
     lower = resolved + pending_lo + stuck_lo
     upper = resolved + pending_up + stuck_up
@@ -298,17 +284,17 @@ def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    points = codebook.points
-    stack = [(_ROOT_CELL, tuple(range(len(points))))]
+    book = _LatticeBook(codebook.points)
+    stack = [(Cell(0, 0, 0), tuple(range(len(codebook))))]
     while stack:
-        region, active = stack.pop()
-        surv = _survivors(points, active, region)
+        cell, active = stack.pop()
+        surv = book.survivors(cell, active)
         if len(surv) == 1:
-            yield CellAssignment(region, surv[0])
-        elif len(region.sigma) >= depth:
-            yield CellAssignment(region, UNRESOLVED)
+            yield CellAssignment(cell, surv[0])
+        elif cell.depth >= depth:
+            yield CellAssignment(cell, UNRESOLVED)
         else:
-            for child in reversed(_children(region)):
+            for child in reversed(cell.children()):
                 stack.append((child, surv))
 
 
@@ -323,28 +309,32 @@ def lloyd_step(codebook: Codebook, depth: int) -> Codebook:
     them all; one contested cell already dooms the step.
     """
     k = len(codebook)
-    mass = [Fraction(0)] * k
-    mx = [Fraction(0)] * k
-    my = [Fraction(0)] * k
+    # Masses in units of 4^-depth; first moments in units of
+    # 4^-depth / (2 * 3^depth), the cell midpoint being (2x+1) / (2 * 3^d).
+    mass = [0] * k
+    mx = [0] * k
+    my = [0] * k
     failed: list[str] = []
     for assign in iter_assignments(codebook, depth):
-        if assign.owner is UNRESOLVED:
-            failed.append(assign.cell.address())
+        cell, owner = assign.cell, assign.owner
+        if owner is UNRESOLVED:
+            failed.append(cell.address())
             if len(failed) >= ResolutionError.NAMED_LIMIT:
                 raise ResolutionError(depth, failed, truncated=True)
             continue
-        region = assign.cell
-        cent = region_centroid(region)
-        mass[assign.owner] += region.mass
-        mx[assign.owner] += region.mass * cent.x
-        my[assign.owner] += region.mass * cent.y
+        up = depth - cell.depth
+        mass[owner] += 4**up
+        mx[owner] += 12**up * (2 * cell.x + 1)
+        my[owner] += 12**up * (2 * cell.y + 1)
     if failed:
         raise ResolutionError(depth, failed)
     empty = [i for i in range(k) if mass[i] == 0]
     if empty:
         raise EmptyRegionError(empty)
+    unit = 2 * 3**depth
     return Codebook.of(
-        Point(mx[i] / mass[i], my[i] / mass[i]) for i in range(k)
+        Point(Fraction(mx[i], unit * mass[i]), Fraction(my[i], unit * mass[i]))
+        for i in range(k)
     )
 
 

@@ -15,9 +15,9 @@ point is used anywhere in this module.
 Addresses come from :mod:`cantorquant.words`: pair words name basic
 rectangles J_w = S_w([0,1]^2), binary words name Cantor cells
 A_s = U_s[0,1], and a tail marker on a pair word names the union of all
-sibling rectangles past its last symbol.  ``Region`` packages any of
-these with its cached mass, per-axis contraction ratios, and bounding
-rectangle.
+sibling rectangles past its last symbol.  ``Region`` packages a
+rectangle or a tail union with its cached mass, per-axis contraction
+ratios, and bounding rectangle.
 """
 
 from __future__ import annotations
@@ -41,8 +41,17 @@ HALF = Fraction(1, 2)
 # ============================================================
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer string, or a plain decimal like "0.31"."""
-    return Fraction(text.strip())
+    """Parse "p/q", an integer string, or a plain decimal like "0.31".
+
+    Raises TypeError for anything but a string and ValueError for
+    malformed text, a zero denominator included.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"a rational must be given as text, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -75,6 +84,8 @@ class Point:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Point":
+        if not isinstance(obj, Mapping) or "x" not in obj or "y" not in obj:
+            raise ValueError(f"a point must be an object with x and y, got {obj!r}")
         return cls(parse_rational(obj["x"]), parse_rational(obj["y"]))
 
     def __str__(self) -> str:
@@ -204,13 +215,12 @@ def conjugacy_check(sigma: NatWord, x: Fraction) -> bool:
 
 
 # ============================================================
-# Regions: rectangles, tail unions, binary product cells
+# Regions: rectangles and tail unions
 # ============================================================
 
 class RegionKind(Enum):
     RECT = "rect"
     TAIL = "tail"
-    CELL = "cell"
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,7 +229,6 @@ class Region:
 
     kind RECT: the basic rectangle J_w for a pair word w.
     kind TAIL: one of the three sibling tail unions attached to w.
-    kind CELL: the binary product cell A_s x A_t (independent lengths).
 
     ``mass`` is the exact probability of the region; ``ratio_x``/``ratio_y``
     are the per-axis contraction factors entering the second-moment closed
@@ -227,10 +236,8 @@ class Region:
     """
 
     kind: RegionKind
-    word: PairWord | None
+    word: PairWord
     tail: TailMarker
-    sigma: BinaryWord | None
-    tau: BinaryWord | None
     mass: Fraction
     ratio_x: Fraction
     ratio_y: Fraction
@@ -240,8 +247,6 @@ class Region:
     y1: Fraction
 
     def address(self) -> str:
-        if self.kind is RegionKind.CELL:
-            return f"({self.sigma or '∅'},{self.tau or '∅'})"
         return f"{self.word}{self.tail}"
 
 
@@ -253,8 +258,6 @@ def rect_region(word: PairWord) -> Region:
         kind=RegionKind.RECT,
         word=word,
         tail=TailMarker.NONE,
-        sigma=None,
-        tau=None,
         mass=prob(word),
         ratio_x=rx,
         ratio_y=ry,
@@ -299,8 +302,6 @@ def tail_region(word: PairWord, tail: TailMarker) -> Region:
         kind=RegionKind.TAIL,
         word=word,
         tail=tail,
-        sigma=None,
-        tau=None,
         mass=prob(word),
         ratio_x=rx,
         ratio_y=ry,
@@ -309,25 +310,3 @@ def tail_region(word: PairWord, tail: TailMarker) -> Region:
         y0=yb[0],
         y1=yb[1],
     )
-
-
-def cell_region(sigma: BinaryWord, tau: BinaryWord) -> Region:
-    """The binary product cell A_s x A_t; mass 2^-(|s|+|t|)."""
-    xi = cell_interval(sigma)
-    yi = cell_interval(tau)
-    return Region(
-        kind=RegionKind.CELL,
-        word=None,
-        tail=TailMarker.NONE,
-        sigma=sigma,
-        tau=tau,
-        mass=Fraction(1, 2 ** (len(sigma) + len(tau))),
-        ratio_x=Fraction(1, 3 ** len(sigma)),
-        ratio_y=Fraction(1, 3 ** len(tau)),
-        x0=xi[0],
-        x1=xi[1],
-        y0=yi[0],
-        y1=yi[1],
-    )
-
-

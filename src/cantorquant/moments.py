@@ -15,13 +15,12 @@ attached to a word admit centroids in closed form as well: summing the
 geometric series moves the centroid to the next block's image shifted by
 one block width along each coordinate that runs to infinity.  Their
 second moment about their own centroid takes the *same* value
-p_w (s1^2 + s2^2)/8 as the rectangle's, so a single formula serves every
-region kind, including binary product cells.
+p_w (s1^2 + s2^2)/8 as the rectangle's, so a single formula serves both
+region kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,15 +37,6 @@ from .words import PairWord, TailMarker, parent
 MEAN = Point(HALF, HALF)
 AXIS_VARIANCE = Fraction(1, 8)
 TOTAL_VARIANCE = Fraction(1, 4)
-
-
-@dataclass(frozen=True, slots=True)
-class MomentSummary:
-    """Mass, centroid, and second moment about the centroid of a region."""
-
-    mass: Fraction
-    centroid: Point
-    second_moment_about_centroid: Fraction
 
 
 def centroid(omega: PairWord) -> Point:
@@ -78,15 +68,7 @@ def tail_centroid(omega: PairWord, tail: TailMarker) -> Point:
 def region_centroid(region: Region) -> Point:
     if region.kind is RegionKind.RECT:
         return centroid(region.word)
-    if region.kind is RegionKind.TAIL:
-        return tail_centroid(region.word, region.tail)
-    # Binary product cell: the conditional mean is the cell midpoint.
-    return Point((region.x0 + region.x1) / 2, (region.y0 + region.y1) / 2)
-
-
-def region_moments(region: Region) -> MomentSummary:
-    second = region.mass * (region.ratio_x**2 + region.ratio_y**2) * AXIS_VARIANCE
-    return MomentSummary(region.mass, region_centroid(region), second)
+    return tail_centroid(region.word, region.tail)
 
 
 def single_center_distortion(region: Region, center: Point) -> Fraction:
@@ -94,8 +76,8 @@ def single_center_distortion(region: Region, center: Point) -> Fraction:
 
     Parallel-axis form: mass * ( (rx^2 + ry^2)/8 + |centroid - center|^2 ).
     """
-    m = region_moments(region)
-    return m.second_moment_about_centroid + region.mass * m.centroid.dist2(center)
+    second = region.mass * (region.ratio_x**2 + region.ratio_y**2) * AXIS_VARIANCE
+    return second + region.mass * region_centroid(region).dist2(center)
 
 
 def union_centroid(regions: Sequence[Region] | Iterable[Region]) -> Point:

@@ -331,9 +331,13 @@ class Codebook:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Codebook":
-        points = [Point.from_json(entry) for entry in obj["points"]]
-        book = cls.of(points)
+        """Read the to_json_obj form; raises ValueError or TypeError on bad input."""
+        if not isinstance(obj, Mapping) or not isinstance(obj.get("points"), list):
+            raise ValueError("a codebook must be an object with a list of points")
+        book = cls.of(Point.from_json(entry) for entry in obj["points"])
         declared = obj.get("n")
+        if declared is not None and type(declared) is not int:
+            raise TypeError(f"codebook field n must be an integer, got {declared!r}")
         if declared is not None and declared != book.n:
             raise ValueError(f"codebook declares n={declared} but has {book.n} points")
         return book

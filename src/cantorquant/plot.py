@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .measure import cell_region
+from .measure import cell_interval
 from .optimal import grid_cells, optimal_codebook
 
 MARGIN = 20
@@ -54,11 +54,12 @@ def render_svg(n: int, depth: int, variant: int = 0) -> str:
         f'width="{CANVAS}" height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',
     ]
     for sigma, tau in grid_cells(depth):
-        region = cell_region(sigma, tau)
-        x = _to_canvas_x(region.x0)
-        y = _to_canvas_y(region.y1)
-        w = (region.x1 - region.x0) * BOARD
-        h = (region.y1 - region.y0) * BOARD
+        x0, x1 = cell_interval(sigma)
+        y0, y1 = cell_interval(tau)
+        x = _to_canvas_x(x0)
+        y = _to_canvas_y(y1)
+        w = (x1 - x0) * BOARD
+        h = (y1 - y0) * BOARD
         lines.append(
             f'  <rect x="{_fmt(x)}" y="{_fmt(y)}" '
             f'width="{_fmt(w)}" height="{_fmt(h)}" {CELL_STYLE}/>'

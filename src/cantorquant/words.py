@@ -209,12 +209,3 @@ def F_inverse(word: BinaryWord) -> tuple[NatWord, bool]:
         return NatWord(tuple(out)), True
     return NatWord(tuple(out)), False
 
-
-def format_tailed(word: PairWord, tail: TailMarker) -> str:
-    """Serialize a pair word with its tail suffix, e.g. "(1,1)(∞,∅)"."""
-    return f"{word}{tail}"
-
-
-def format_nat_tailed(word: NatWord, infinite: bool) -> str:
-    """Serialize a nat word with the infinite suffix, e.g. "1.3∞"."""
-    return f"{word}∞" if infinite else str(word)

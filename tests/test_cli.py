@@ -106,6 +106,29 @@ class TestDistortion:
         assert rc == 1
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("points,extra,code,needle", [
+        ([{"x": "1/0", "y": "1/2"}], [], 3, "zero denominator"),
+        ([{"x": 0.5, "y": "1/2"}], [], 3, "as text"),
+        ([{"x": "1/2"}], [], 3, "x and y"),
+        ("none", [], 3, "list of points"),
+        ([{"x": "1/2", "y": "1/2"}], ["--tol", "1/0"], 1, "zero denominator"),
+    ], ids=["zero-denominator", "json-number", "missing-y", "points-not-a-list",
+            "tol-zero-denominator"])
+    def test_malformed_input_exits_with_documented_code(
+            self, capsys, tmp_path, points, extra, code, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"points": points}))
+        rc, _, err = run(capsys, "distortion", "--codebook", str(path), *extra)
+        assert rc == code
+        assert needle in err
+
+    def test_declared_n_must_be_an_integer(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": "1", "points": [{"x": "1/2", "y": "1/2"}]}))
+        rc, _, err = run(capsys, "distortion", "--codebook", str(path))
+        assert rc == 3
+        assert err.endswith(": codebook field n must be an integer, got '1'\n")
+
     def test_interval_output_for_contested_book(self, capsys, tmp_path):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps({

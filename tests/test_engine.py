@@ -1,11 +1,16 @@
 """Certified distortion, cell resolution, Lloyd iteration, multistart."""
 
+import heapq
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from cantorquant.engine import (
     UNRESOLVED,
+    Cell,
+    CellAssignment,
     CertifiedInterval,
     EmptyRegionError,
     Lcg64,
@@ -16,10 +21,15 @@ from cantorquant.engine import (
     lloyd,
     lloyd_step,
     multistart_search,
-    resolve_cell,
 )
-from cantorquant.measure import Point, cell_region
-from cantorquant.optimal import Codebook, optimal_codebook, quantization_error
+from cantorquant.measure import Point, cell_interval
+from cantorquant.optimal import (
+    Codebook,
+    count_variants,
+    optimal_codebook,
+    quantization_error,
+    spread_indices,
+)
 from cantorquant.words import BinaryWord
 
 HALF = Fraction(1, 2)
@@ -34,18 +44,55 @@ DIAGONAL_PAIR = book_of(("3/10", "7/10"), ("7/10", "3/10"))
 THREE_DOWN = book_of(("1/6", "1/6"), ("5/6", "1/6"), ("1/2", "5/6"))
 
 
+ROOT = Cell(0, 0, 0)
+
+
+def cell_at(sigma: str, tau: str) -> Cell:
+    """The cell reached from the root by the digits of (sigma, tau)."""
+    cell = ROOT
+    for a, b in zip(sigma, tau):
+        cell = cell.children()[2 * (a == "2") + (b == "2")]
+    return cell
+
+
+class TestCell:
+    def test_root_address(self):
+        assert ROOT.address() == "(∅,∅)"
+        assert ROOT.mass == 1
+
+    def test_address_round_trips(self):
+        cell = cell_at("12", "21")
+        assert cell == Cell(2, 2, 6)
+        assert cell.address() == "(12,21)"
+        assert cell.mass == Fraction(1, 16)
+        scale = 3**cell.depth
+        assert cell_interval(BinaryWord("12")) == (
+            Fraction(cell.x, scale), Fraction(cell.x + 1, scale))
+        assert cell_interval(BinaryWord("21")) == (
+            Fraction(cell.y, scale), Fraction(cell.y + 1, scale))
+
+    def test_children_masses_sum_to_parent(self):
+        cell = cell_at("12", "21")
+        children = cell.children()
+        assert [c.address() for c in children] == [
+            "(121,211)", "(121,212)", "(122,211)", "(122,212)"]
+        assert sum(c.mass for c in children) == cell.mass
+
+
 class TestResolveCell:
+    """Which codeword owns a whole cell, read off iter_assignments."""
+
     def test_left_cell_owned_by_left_point(self):
-        cell = cell_region(BinaryWord("1"), BinaryWord(""))
-        assert resolve_cell(cell, HORIZONTAL_PAIR) == 0
+        owners = {a.cell.address(): a.owner for a in iter_assignments(HORIZONTAL_PAIR, 1)}
+        assert owners == {"(1,1)": 0, "(1,2)": 0, "(2,1)": 1, "(2,2)": 1}
 
     def test_root_is_contested(self):
-        root = cell_region(BinaryWord(""), BinaryWord(""))
-        assert resolve_cell(root, HORIZONTAL_PAIR) is UNRESOLVED
+        assigns = list(iter_assignments(HORIZONTAL_PAIR, 0))
+        assert assigns == [CellAssignment(ROOT, UNRESOLVED)]
 
     def test_single_point_owns_everything(self):
-        root = cell_region(BinaryWord(""), BinaryWord(""))
-        assert resolve_cell(root, book_of(("1/2", "1/2"))) == 0
+        assigns = list(iter_assignments(book_of(("1/2", "1/2")), 5))
+        assert assigns == [CellAssignment(ROOT, 0)]
 
 
 class TestCertifiedInterval:
@@ -266,3 +313,211 @@ class TestMultistart:
             "converged", "max-iters", "resolution-failure",
             "empty-region", "degenerate",
         }
+
+
+# ------------------------------------------------------------------
+# Reference walker: the engine as it was before cells became lattice
+# squares.  Cells are (sigma, tau, x0, x1, y0, y1) rectangles in plain
+# Fractions, a codeword is dropped when a rival is weakly closer at all
+# four corners, and the two traversals are the same loops.
+
+def ref_root():
+    return ("", "", Fraction(0), Fraction(1), Fraction(0), Fraction(1))
+
+
+def ref_children(rect):
+    sigma, tau, x0, x1, y0, y1 = rect
+    r = (x1 - x0) / 3
+    xs = (("1", x0, x0 + r), ("2", x1 - r, x1))
+    ys = (("1", y0, y0 + r), ("2", y1 - r, y1))
+    return [(sigma + a, tau + b, ax0, ax1, by0, by1)
+            for a, ax0, ax1 in xs for b, by0, by1 in ys]
+
+
+def ref_address(rect):
+    return f"({rect[0] or '∅'},{rect[1] or '∅'})"
+
+
+def ref_mass(rect):
+    return Fraction(1, 4 ** len(rect[0]))
+
+
+def ref_survivors(points, active, rect):
+    _, _, x0, x1, y0, y1 = rect
+    corners = ((x0, y0), (x0, y1), (x1, y0), (x1, y1))
+    table = {i: [(points[i].x - cx) ** 2 + (points[i].y - cy) ** 2 for cx, cy in corners]
+             for i in active}
+    return tuple(
+        i for i in active
+        if not any(j != i and all(a <= b for a, b in zip(table[j], table[i])) for j in active)
+    )
+
+
+def ref_integral(rect, p):
+    _, _, x0, x1, y0, y1 = rect
+    mass = ref_mass(rect)
+    second = mass * 2 * (x1 - x0) ** 2 / 8
+    return second + mass * Point((x0 + x1) / 2, (y0 + y1) / 2).dist2(p)
+
+
+def ref_bracket(points, active, rect):
+    _, _, x0, x1, y0, y1 = rect
+
+    def rect_dist2(p):
+        dx = max(x0 - p.x, 0, p.x - x1)
+        dy = max(y0 - p.y, 0, p.y - y1)
+        return dx * dx + dy * dy
+
+    lower = ref_mass(rect) * min(rect_dist2(points[i]) for i in active)
+    upper = min(ref_integral(rect, points[i]) for i in active)
+    return lower, upper
+
+
+def ref_exact_distortion(codebook, tolerance, max_depth):
+    points = codebook.points
+    resolved = stuck_lo = stuck_up = pending_lo = pending_up = Fraction(0)
+    stuck_cells = 0
+    heap = []
+    tick = itertools.count()
+
+    def consider(rect, active):
+        nonlocal resolved, stuck_lo, stuck_up, stuck_cells, pending_lo, pending_up
+        surv = ref_survivors(points, active, rect)
+        if len(surv) == 1:
+            resolved += ref_integral(rect, points[surv[0]])
+            return
+        lo, up = ref_bracket(points, surv, rect)
+        if len(rect[0]) >= max_depth:
+            stuck_cells += 1
+            stuck_lo += lo
+            stuck_up += up
+        else:
+            pending_lo += lo
+            pending_up += up
+            heapq.heappush(heap, (lo - up, next(tick), rect, surv, lo, up))
+
+    consider(ref_root(), tuple(range(len(points))))
+    while heap and (pending_up - pending_lo) + (stuck_up - stuck_lo) > tolerance:
+        _, _, rect, surv, lo, up = heapq.heappop(heap)
+        pending_lo -= lo
+        pending_up -= up
+        for child in ref_children(rect):
+            consider(child, surv)
+    lower = resolved + pending_lo + stuck_lo
+    upper = resolved + pending_up + stuck_up
+    return lower, upper, not heap and stuck_cells == 0
+
+
+def ref_assignments(codebook, depth):
+    points = codebook.points
+    stack = [(ref_root(), tuple(range(len(points))))]
+    while stack:
+        rect, active = stack.pop()
+        surv = ref_survivors(points, active, rect)
+        if len(surv) == 1:
+            yield rect, surv[0]
+        elif len(rect[0]) >= depth:
+            yield rect, UNRESOLVED
+        else:
+            for child in reversed(ref_children(rect)):
+                stack.append((child, surv))
+
+
+def ref_lloyd_step(codebook, depth):
+    k = len(codebook)
+    mass = [Fraction(0)] * k
+    mx = [Fraction(0)] * k
+    my = [Fraction(0)] * k
+    failed = []
+    for rect, owner in ref_assignments(codebook, depth):
+        if owner is UNRESOLVED:
+            failed.append(ref_address(rect))
+            if len(failed) >= ResolutionError.NAMED_LIMIT:
+                raise ResolutionError(depth, failed, truncated=True)
+            continue
+        _, _, x0, x1, y0, y1 = rect
+        m = ref_mass(rect)
+        mass[owner] += m
+        mx[owner] += m * (x0 + x1) / 2
+        my[owner] += m * (y0 + y1) / 2
+    if failed:
+        raise ResolutionError(depth, failed)
+    empty = [i for i in range(k) if mass[i] == 0]
+    if empty:
+        raise EmptyRegionError(empty)
+    return Codebook.of(Point(mx[i] / mass[i], my[i] / mass[i]) for i in range(k))
+
+
+def random_books(count, seed=2024):
+    """Codebooks of 2..8 codewords on a 2^-20 grid; their bisectors cross the dust."""
+    rng = random.Random(seed)
+    books = []
+    while len(books) < count:
+        n = rng.randrange(2, 9)
+        points = {Point(Fraction(rng.getrandbits(20), 1 << 20),
+                        Fraction(rng.getrandbits(20), 1 << 20)) for _ in range(n)}
+        if len(points) == n:
+            books.append(Codebook.of(points))
+    return books
+
+
+# (codebook, tolerance, max_depth, partition depth) per corpus family.
+CORPUS = {
+    "optimal": [
+        (optimal_codebook(n, i), Fraction(1, 10**12), 40, 12)
+        for n in range(2, 65) for i in spread_indices(count_variants(n), 2)
+    ],
+    "random": [(book, Fraction(1, 10**9), 40, 6) for book in random_books(30)],
+    "diagonal": [(DIAGONAL_PAIR, Fraction(1, 10**30), depth, depth) for depth in (6, 9, 12)],
+}
+
+
+def step_outcome(step, book, depth):
+    try:
+        return step(book, depth)
+    except (ResolutionError, EmptyRegionError) as err:
+        return type(err).__name__, str(err)
+
+
+class TestAgainstReferenceWalker:
+    @pytest.mark.parametrize("family", sorted(CORPUS))
+    def test_intervals_match(self, family):
+        for book, tol, max_depth, _ in CORPUS[family]:
+            iv = exact_distortion(book, tol, max_depth)
+            assert (iv.lower, iv.upper, iv.exact) == ref_exact_distortion(book, tol, max_depth)
+
+    @pytest.mark.parametrize("family", sorted(CORPUS))
+    def test_partitions_match(self, family):
+        for book, _, _, depth in CORPUS[family]:
+            got = [(a.cell.address(), a.cell.mass, a.owner)
+                   for a in iter_assignments(book, depth)]
+            want = [(ref_address(r), ref_mass(r), owner)
+                    for r, owner in ref_assignments(book, depth)]
+            assert got == want
+
+    @pytest.mark.parametrize("family", sorted(CORPUS))
+    def test_lloyd_steps_match(self, family):
+        for book, _, _, depth in CORPUS[family]:
+            got = step_outcome(lloyd_step, book, depth)
+            assert got == step_outcome(ref_lloyd_step, book, depth)
+
+
+def test_dihedral_images_give_identical_enclosures():
+    """The measure is invariant under the square's eight symmetries."""
+    one = Fraction(1)
+    maps = [
+        lambda x, y: (x, y), lambda x, y: (one - x, y),
+        lambda x, y: (x, one - y), lambda x, y: (one - x, one - y),
+        lambda x, y: (y, x), lambda x, y: (one - y, x),
+        lambda x, y: (y, one - x), lambda x, y: (one - y, one - x),
+    ]
+    tiny = Fraction(1, 10**30)
+    contested = [book for book in random_books(12, seed=88)
+                 if not exact_distortion(book, tiny, 6).exact]
+    assert len(contested) >= 6
+    for book in contested:
+        images = {
+            exact_distortion(Codebook.of(Point(*t(p.x, p.y)) for p in book), tiny, 6)
+            for t in maps
+        }
+        assert len(images) == 1

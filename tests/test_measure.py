@@ -11,7 +11,6 @@ from cantorquant.measure import (
     RegionKind,
     cantor_point,
     cell_interval,
-    cell_region,
     conjugacy_check,
     format_rational,
     interval_mass,
@@ -198,23 +197,3 @@ class TestRegions:
             tail_region(PairWord.of((1, 2)), TailMarker.NONE)
         with pytest.raises(ValueError):
             tail_region(PairWord(), TailMarker.INF_INF)
-
-    def test_cell_region(self):
-        c = cell_region(BinaryWord("1"), BinaryWord("2"))
-        assert c.kind is RegionKind.CELL
-        assert c.mass == Fraction(1, 4)
-        assert c.ratio_x == c.ratio_y == Fraction(1, 3)
-        assert (c.x0, c.x1) == (Fraction(0), Fraction(1, 3))
-        assert (c.y0, c.y1) == (Fraction(2, 3), Fraction(1))
-        assert c.address() == "(1,2)"
-
-    def test_root_cell_address(self):
-        assert cell_region(BinaryWord(""), BinaryWord("")).address() == "(∅,∅)"
-
-    def test_cell_mass_splits_in_four(self):
-        c = cell_region(BinaryWord("12"), BinaryWord("21"))
-        children = [
-            cell_region(BinaryWord("12" + a), BinaryWord("21" + b))
-            for a in "12" for b in "12"
-        ]
-        assert sum(k.mass for k in children) == c.mass

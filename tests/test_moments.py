@@ -6,7 +6,6 @@ import pytest
 
 from cantorquant.measure import (
     Point,
-    cell_region,
     prob,
     rect_region,
     tail_region,
@@ -17,13 +16,12 @@ from cantorquant.moments import (
     TOTAL_VARIANCE,
     centroid,
     region_centroid,
-    region_moments,
     single_center_distortion,
     tail_centroid,
     union_centroid,
     union_distortion,
 )
-from cantorquant.words import BinaryWord, PairWord, TailMarker
+from cantorquant.words import PairWord, TailMarker
 
 HALF = Fraction(1, 2)
 
@@ -136,26 +134,18 @@ class TestFourRegionPartition:
 
 
 class TestCellMoments:
+    # The depth-1 product cells A_1 x A_1 and A_2 x A_1 are the rectangle
+    # J_(1,1) and the tail union past (1,1) in the first coordinate.
     def test_cell_centroid_is_midpoint(self):
-        c = cell_region(BinaryWord("2"), BinaryWord("1"))
+        c = tail_region(PairWord.of((1, 1)), TailMarker.INF_EMPTY)
+        assert (c.x0, c.x1, c.y0, c.y1) == (Fraction(2, 3), 1, 0, Fraction(1, 3))
         assert region_centroid(c) == Point(Fraction(5, 6), Fraction(1, 6))
 
-    def test_cell_splits_into_children(self):
-        parent_cell = cell_region(BinaryWord("1"), BinaryWord("2"))
-        children = [
-            cell_region(BinaryWord("1" + a), BinaryWord("2" + b))
-            for a in "12" for b in "12"
-        ]
-        center = Point(Fraction(1, 4), Fraction(2, 3))
-        total = union_distortion(children, center)
-        assert total == single_center_distortion(parent_cell, center)
-        assert union_centroid(children) == region_centroid(parent_cell)
-
-    def test_moment_summary(self):
-        c = cell_region(BinaryWord("1"), BinaryWord("1"))
-        m = region_moments(c)
-        assert m.mass == Fraction(1, 4)
-        assert m.second_moment_about_centroid == Fraction(1, 4) * Fraction(2, 9) / 8
+    def test_second_moment_about_centroid(self):
+        c = rect_region(PairWord.of((1, 1)))
+        assert c.mass == Fraction(1, 4)
+        second = single_center_distortion(c, region_centroid(c))
+        assert second == Fraction(1, 4) * Fraction(2, 9) / 8
 
 
 class TestUnions:

@@ -13,8 +13,6 @@ from cantorquant.words import (
     F_map,
     components,
     f_map,
-    format_nat_tailed,
-    format_tailed,
     parent,
 )
 
@@ -95,11 +93,6 @@ class TestTailMarkers:
         assert str(TailMarker.EMPTY_INF) == "(∅,∞)"
         assert str(TailMarker.INF_EMPTY) == "(∞,∅)"
         assert str(TailMarker.INF_INF) == "(∞,∞)"
-
-    def test_formatting(self):
-        assert format_tailed(PairWord.of((1, 2)), TailMarker.EMPTY_INF) == "(1,2)(∅,∞)"
-        assert format_nat_tailed(NatWord.of(1, 3), True) == "1.3∞"
-        assert format_nat_tailed(NatWord.of(1, 3), False) == "1.3"
 
 
 class TestTranslation:
