@@ -22,6 +22,8 @@ ratios, and bounding rectangle.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,14 +42,27 @@ HALF = Fraction(1, 2)
 # Serialization helpers ("p/q" strings; integers drop the "/q")
 # ============================================================
 
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer string, or a plain decimal like "0.31".
 
     Raises TypeError for anything but a string and ValueError for
-    malformed text, a zero denominator included.
+    malformed text, a zero denominator included.  Text with more digits,
+    or a larger decimal exponent, than the interpreter's limit for
+    integer strings (``sys.get_int_max_str_digits()``) is refused before
+    any arithmetic: Fraction would otherwise build 10^k for an exponent k.
     """
     if not isinstance(text, str):
         raise TypeError(f"a rational must be given as text, got {text!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        if sum(c.isdigit() for c in text) > limit:
+            raise ValueError(f"a rational may have at most {limit} digits")
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1].replace("_", ""))) > limit:
+            raise ValueError(f"a decimal exponent may be at most {limit} in magnitude")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

@@ -42,7 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .measure import Point, cantor_point
+from .measure import Point
 from .words import BinaryWord
 
 CellAddress = tuple[BinaryWord, BinaryWord]
@@ -255,46 +255,29 @@ def enumerate_variants(n: int) -> Iterator[VariantSpec]:
 # ============================================================
 # Point patterns per cell
 # ============================================================
+# A depth-ell cell U_s[0,1] is the lattice interval [X, X+1] * 3^-ell,
+# where the base-3 digits of X spell s with 0 for U_1 and 2 for U_2.
+# Over Q = 2 * 3^(ell+1) its left child's midpoint, its own midpoint and
+# its right child's midpoint have the numerators 6X+1, 6X+3 and 6X+5,
+# so each pattern below lists (dx, dy) offsets from (6X, 6Y).
 
-def _midpoint(cell: CellAddress) -> Point:
-    return Point(cantor_point(cell[0]), cantor_point(cell[1]))
-
-
-def _axis_pair(cell: CellAddress, choice: int) -> list[Point]:
-    s, t = cell
-    if choice == 0:
-        return [
-            Point(cantor_point(s.append(1)), cantor_point(t)),
-            Point(cantor_point(s.append(2)), cantor_point(t)),
-        ]
-    return [
-        Point(cantor_point(s), cantor_point(t.append(1))),
-        Point(cantor_point(s), cantor_point(t.append(2))),
-    ]
-
-
-def _triple(cell: CellAddress, choice: int) -> list[Point]:
-    # The four three-point patterns: one child column/row pair plus the
-    # opposite half's midpoint, in the documented choice order.
-    s, t = cell
-    s1, s2 = s.append(1), s.append(2)
-    t1, t2 = t.append(1), t.append(2)
-    patterns = {
-        0: [(s1, t), (s2, t1), (s2, t2)],
-        1: [(s1, t1), (s1, t2), (s2, t)],
-        2: [(s1, t1), (s2, t1), (s, t2)],
-        3: [(s, t1), (s1, t2), (s2, t2)],
-    }
-    return [Point(cantor_point(a), cantor_point(b)) for a, b in patterns[choice]]
+_MIDPOINT = ((3, 3),)
+# Choice 0 splits along x, choice 1 along y.
+_AXIS_PAIRS = (((1, 3), (5, 3)), ((3, 1), (3, 5)))
+# The four three-point patterns: one child column/row pair plus the
+# opposite half's midpoint, in the documented choice order.
+_TRIPLES = (
+    ((1, 3), (5, 1), (5, 5)),
+    ((1, 1), (1, 5), (5, 3)),
+    ((1, 1), (5, 1), (3, 5)),
+    ((3, 1), (1, 5), (5, 5)),
+)
+_CHILD_GRID = ((1, 1), (1, 5), (5, 1), (5, 5))
 
 
-def _child_grid(cell: CellAddress) -> list[Point]:
-    s, t = cell
-    return [
-        Point(cantor_point(s.append(a)), cantor_point(t.append(b)))
-        for a in (1, 2)
-        for b in (1, 2)
-    ]
+def _lattice(word: BinaryWord) -> int:
+    """The X of the cell U_s[0,1] = [X, X+1] * 3^-|s|."""
+    return int("0" + word.symbols.replace("1", "0"), 3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,26 +344,22 @@ def codebook_for(spec: VariantSpec) -> Codebook:
             raise ValueError(f"choice {digit} out of range for arity {radix}")
     choice_of = dict(zip(chosen, spec.choices))
     upper_band = spec.regime is Regime.HIGH and spec.n > 3 * len(cells)
-    points: list[Point] = []
+    pairs: list[tuple[int, int]] = []
     for cell in cells:
         if spec.regime is Regime.POWER:
-            points.append(_midpoint(cell))
+            pattern = _MIDPOINT
         elif spec.regime is Regime.LOW:
-            if cell in split:
-                points.extend(_axis_pair(cell, choice_of[cell]))
-            else:
-                points.append(_midpoint(cell))
+            pattern = _AXIS_PAIRS[choice_of[cell]] if cell in split else _MIDPOINT
         elif upper_band:
-            if cell in split:
-                points.extend(_child_grid(cell))
-            else:
-                points.extend(_triple(cell, choice_of[cell]))
+            pattern = _CHILD_GRID if cell in split else _TRIPLES[choice_of[cell]]
         else:
-            if cell in split:
-                points.extend(_triple(cell, choice_of[cell]))
-            else:
-                points.extend(_axis_pair(cell, choice_of[cell]))
-    return Codebook.of(points)
+            pattern = (_TRIPLES if cell in split else _AXIS_PAIRS)[choice_of[cell]]
+        x, y = 6 * _lattice(cell[0]), 6 * _lattice(cell[1])
+        pairs.extend((x + dx, y + dy) for dx, dy in pattern)
+    # Over the common denominator, integer order is point order.
+    pairs.sort()
+    q = 2 * 3 ** (spec.level + 1)
+    return Codebook.of(Point(Fraction(a, q), Fraction(b, q)) for a, b in pairs)
 
 
 def optimal_codebook(n: int, variant: int | VariantSpec = 0) -> Codebook:

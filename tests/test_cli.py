@@ -7,6 +7,19 @@ import sys
 import pytest
 
 from cantorquant.cli import main
+from cantorquant.measure import cell_interval
+from cantorquant.optimal import grid_cells, optimal_codebook
+from cantorquant.plot import (
+    BOARD,
+    CANVAS,
+    CELL_STYLE,
+    DOT_RADIUS,
+    DOT_STYLE,
+    _fmt,
+    _to_canvas_x,
+    _to_canvas_y,
+    render_svg,
+)
 
 
 def run(capsys, *argv):
@@ -112,8 +125,12 @@ class TestDistortion:
         ([{"x": "1/2"}], [], 3, "x and y"),
         ("none", [], 3, "list of points"),
         ([{"x": "1/2", "y": "1/2"}], ["--tol", "1/0"], 1, "zero denominator"),
+        ([{"x": "1e-20000", "y": "1/2"}], [], 3, "exponent"),
+        ([{"x": "1e999999999", "y": "1/2"}], [], 3, "exponent"),
+        ([{"x": "1/2", "y": "1/2"}], ["--tol", "1e-20000"], 1, "exponent"),
     ], ids=["zero-denominator", "json-number", "missing-y", "points-not-a-list",
-            "tol-zero-denominator"])
+            "tol-zero-denominator", "tiny-exponent", "huge-exponent",
+            "tol-tiny-exponent"])
     def test_malformed_input_exits_with_documented_code(
             self, capsys, tmp_path, points, extra, code, needle):
         path = tmp_path / "bad.json"
@@ -174,6 +191,37 @@ class TestPlot:
         assert rc == 0
         assert out == ""
         assert path.read_text().startswith("<svg")
+
+
+def reference_svg(n, depth, variant=0):
+    """The renderer before lattice edges: one cell_interval pair per rect."""
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{CANVAS}" height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',
+    ]
+    for sigma, tau in grid_cells(depth):
+        x0, x1 = cell_interval(sigma)
+        y0, y1 = cell_interval(tau)
+        lines.append(
+            f'  <rect x="{_fmt(_to_canvas_x(x0))}" y="{_fmt(_to_canvas_y(y1))}" '
+            f'width="{_fmt((x1 - x0) * BOARD)}" height="{_fmt((y1 - y0) * BOARD)}" '
+            f'{CELL_STYLE}/>'
+        )
+    for p in optimal_codebook(n, variant):
+        lines.append(
+            f'  <circle cx="{_fmt(_to_canvas_x(p.x))}" cy="{_fmt(_to_canvas_y(p.y))}" '
+            f'r="{DOT_RADIUS}" {DOT_STYLE}/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderMatchesReference:
+    @pytest.mark.parametrize("n,depth", [
+        (1, 1), (2, 1), (5, 2), (9, 3), (37, 4), (100, 5), (3000, 5), (7, 6),
+    ])
+    def test_byte_identical(self, n, depth):
+        assert render_svg(n, depth) == reference_svg(n, depth)
 
 
 class TestUsage:

@@ -48,6 +48,16 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational("one third")
 
+    @pytest.mark.parametrize("text,needle", [
+        ("3" * 2200 + "." + "3" * 2200, "digits"),
+        ("1e-4301", "exponent"),
+        ("1E+4_301", "exponent"),
+    ])
+    def test_parse_refuses_text_past_the_int_digit_limit(self, text, needle):
+        with pytest.raises(ValueError, match=needle):
+            parse_rational(text)
+        assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+
 
 class TestPoint:
     def test_dist2(self):

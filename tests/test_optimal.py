@@ -1,14 +1,18 @@
 """Closed-form errors, variant counting and enumeration, codebook geometry."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from cantorquant.measure import Point
+from cantorquant.engine import Cell
+from cantorquant.measure import Point, cantor_point, cell_interval
 from cantorquant.optimal import (
     Codebook,
     Regime,
+    _choice_radices,
+    _lattice,
     codebook_for,
     count_variants,
     enumerate_variants,
@@ -20,6 +24,7 @@ from cantorquant.optimal import (
     variant_by_index,
     variant_index,
 )
+from cantorquant.words import BinaryWord
 
 
 def balanced_split_error(n, cache={1: Fraction(1, 4), 2: Fraction(5, 36),
@@ -204,3 +209,83 @@ class TestCodebookContainer:
         obj = {"n": 3, "points": [{"x": "0", "y": "0"}]}
         with pytest.raises(ValueError):
             Codebook.from_json_obj(obj)
+
+
+# The pre-lattice assembly: every coordinate composed by cantor_point
+# along its binary word.  Kept as the reference for the lattice tables.
+
+def reference_midpoint(cell):
+    return [Point(cantor_point(cell[0]), cantor_point(cell[1]))]
+
+
+def reference_axis_pair(cell, choice):
+    s, t = cell
+    if choice == 0:
+        return [Point(cantor_point(s.append(1)), cantor_point(t)),
+                Point(cantor_point(s.append(2)), cantor_point(t))]
+    return [Point(cantor_point(s), cantor_point(t.append(1))),
+            Point(cantor_point(s), cantor_point(t.append(2)))]
+
+
+def reference_triple(cell, choice):
+    s, t = cell
+    s1, s2 = s.append(1), s.append(2)
+    t1, t2 = t.append(1), t.append(2)
+    patterns = {
+        0: [(s1, t), (s2, t1), (s2, t2)],
+        1: [(s1, t1), (s1, t2), (s2, t)],
+        2: [(s1, t1), (s2, t1), (s, t2)],
+        3: [(s, t1), (s1, t2), (s2, t2)],
+    }
+    return [Point(cantor_point(a), cantor_point(b)) for a, b in patterns[choice]]
+
+
+def reference_child_grid(cell):
+    s, t = cell
+    return [Point(cantor_point(s.append(a)), cantor_point(t.append(b)))
+            for a in (1, 2) for b in (1, 2)]
+
+
+def reference_codebook(spec):
+    cells = grid_cells(spec.level)
+    split = frozenset(spec.split_cells)
+    chosen, _ = _choice_radices(spec.n, spec.regime, cells, split)
+    choice_of = dict(zip(chosen, spec.choices))
+    upper_band = spec.regime is Regime.HIGH and spec.n > 3 * len(cells)
+    points = []
+    for cell in cells:
+        if spec.regime is Regime.POWER:
+            points += reference_midpoint(cell)
+        elif spec.regime is Regime.LOW:
+            points += (reference_axis_pair(cell, choice_of[cell]) if cell in split
+                       else reference_midpoint(cell))
+        elif upper_band:
+            points += (reference_child_grid(cell) if cell in split
+                       else reference_triple(cell, choice_of[cell]))
+        elif cell in split:
+            points += reference_triple(cell, choice_of[cell])
+        else:
+            points += reference_axis_pair(cell, choice_of[cell])
+    return Codebook.of(points)
+
+
+class TestLatticeAssembly:
+    @pytest.mark.parametrize("ns", [
+        range(2, 100), range(100, 200), range(200, 301),
+        (1023, 1024, 1025, 2047, 2048, 2049, 3071, 3072, 3073, 4095),
+    ], ids=["2-99", "100-199", "200-300", "ell-5-boundaries"])
+    def test_matches_cantor_point_reference(self, ns):
+        for n in ns:
+            for i in spread_indices(count_variants(n), 4):
+                spec = variant_by_index(n, i)
+                assert codebook_for(spec) == reference_codebook(spec), (n, i)
+
+    def test_lattice_inverts_cell_address(self):
+        for depth in range(7):
+            for digits in itertools.product("12", repeat=depth):
+                word = BinaryWord("".join(digits))
+                x = _lattice(word)
+                assert cell_interval(word) == (Fraction(x, 3**depth),
+                                               Fraction(x + 1, 3**depth))
+                shown = str(word) or "∅"
+                assert Cell(depth, x, x).address() == f"({shown},{shown})"
