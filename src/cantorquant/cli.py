@@ -196,7 +196,12 @@ def cmd_distortion(args: argparse.Namespace) -> int:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
     interval = exact_distortion(book, tol, args.depth)
-    print(json.dumps(interval.to_json_obj()))
+    try:
+        text = json.dumps(interval.to_json_obj())
+    except ValueError as err:
+        print(f"cannot print the distortion of {path}: {err}", file=sys.stderr)
+        return EXIT_IO
+    print(text)
     return EXIT_OK
 
 

@@ -49,14 +49,13 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer string, or a plain decimal like "0.31".
 
     Raises TypeError for anything but a string and ValueError for
-    malformed text, a zero denominator included.  Text with more digits,
-    or a larger decimal exponent, than the interpreter's limit for
-    integer strings (``sys.get_int_max_str_digits()``) is refused before
-    any arithmetic: Fraction would otherwise build 10^k for an exponent k.
+    malformed text, a zero denominator included, or for more digits or a
+    larger exponent than ``sys.get_int_max_str_digits()`` allows.
     """
     if not isinstance(text, str):
         raise TypeError(f"a rational must be given as text, got {text!r}")
-    limit = sys.get_int_max_str_digits()
+    # Python before 3.10.7 has no such limit; its later default stands in.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
     if limit:
         if sum(c.isdigit() for c in text) > limit:
             raise ValueError(f"a rational may have at most {limit} digits")
@@ -135,16 +134,6 @@ class Map2D:
 
     def apply(self, p: Point) -> Point:
         return Point(self.horizontal.apply(p.x), self.vertical.apply(p.y))
-
-    def compose(self, inner: "Map2D") -> "Map2D":
-        return Map2D(
-            self.horizontal.compose(inner.horizontal),
-            self.vertical.compose(inner.vertical),
-        )
-
-    @classmethod
-    def identity(cls) -> "Map2D":
-        return cls(Map1D.identity(), Map1D.identity())
 
 
 # ============================================================

@@ -83,9 +83,13 @@ def quantization_error(n: int) -> Fraction:
     return Fraction(1, 36 ** (ell + 1)) * (9 * 4**ell - 2 * n)
 
 
+def _words(ell: int) -> list[BinaryWord]:
+    return [BinaryWord("".join(bits)) for bits in itertools.product("12", repeat=ell)]
+
+
 def grid_cells(ell: int) -> tuple[CellAddress, ...]:
     """All product cells of depth ell, in lexicographic address order."""
-    words = [BinaryWord("".join(bits)) for bits in itertools.product("12", repeat=ell)]
+    words = _words(ell)
     return tuple((s, t) for s in words for t in words)
 
 
@@ -213,10 +217,7 @@ def variant_index(spec: VariantSpec) -> int:
     code = 0
     for digit, radix in zip(spec.choices, radices):
         code = code * radix + digit
-    per_subset = 1
-    for radix in radices:
-        per_subset *= radix
-    return subset_rank * per_subset + code
+    return subset_rank * math.prod(radices) + code
 
 
 def spread_indices(total: int, cap: int) -> tuple[int, ...]:
@@ -278,6 +279,11 @@ _CHILD_GRID = ((1, 1), (1, 5), (5, 1), (5, 5))
 def _lattice(word: BinaryWord) -> int:
     """The X of the cell U_s[0,1] = [X, X+1] * 3^-|s|."""
     return int("0" + word.symbols.replace("1", "0"), 3)
+
+
+def lattice_row(ell: int) -> list[int]:
+    """The X of every depth-ell cell U_s[0,1], s in lexicographic order."""
+    return [_lattice(s) for s in _words(ell)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,10 +7,9 @@ variant) triple always renders byte-identical output on any platform.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .optimal import optimal_codebook
+from .optimal import lattice_row, optimal_codebook
 
 MARGIN = 20
 BOARD = 600
@@ -53,12 +52,11 @@ def render_svg(n: int, depth: int, variant: int = 0) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{CANVAS}" height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',
     ]
-    # The cell U_s[0,1] x U_t[0,1] is [X, X+1] x [Y, Y+1] * 3^-depth, where
-    # the base-3 digits of X spell s (0 for U_1, 2 for U_2) and those of Y
-    # spell t; so every rect uses one of 2^depth left edges, one of 2^depth
-    # top edges and the one side length.
+    # The cell U_s[0,1] x U_t[0,1] is [X, X+1] x [Y, Y+1] * 3^-depth, so
+    # every rect uses one of 2^depth left edges, one of 2^depth top edges
+    # and the one side length.
     side = Fraction(1, 3**depth)
-    lattice = [int("".join(digits), 3) for digits in itertools.product("02", repeat=depth)]
+    lattice = lattice_row(depth)
     lefts = [_fmt(_to_canvas_x(v * side)) for v in lattice]
     tops = [_fmt(_to_canvas_y((v + 1) * side)) for v in lattice]
     size = _fmt(side * BOARD)

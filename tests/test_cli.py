@@ -139,6 +139,16 @@ class TestDistortion:
         assert rc == code
         assert needle in err
 
+    def test_distortion_too_long_to_print(self, capsys, tmp_path):
+        # Each coordinate is within the digit limit; the bounds' denominators
+        # are about its square and are not.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"points": [{"x": "1e-3000", "y": "1/2"}]}))
+        rc, out, err = run(capsys, "distortion", "--codebook", str(path))
+        assert rc == 3
+        assert out == ""
+        assert err.startswith(f"cannot print the distortion of {path}: ")
+
     def test_declared_n_must_be_an_integer(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": "1", "points": [{"x": "1/2", "y": "1/2"}]}))

@@ -1,6 +1,7 @@
 """Maps, masses, intervals, regions, and the block/binary conjugacy."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,13 @@ class TestRationalText:
     def test_parse_refuses_text_past_the_int_digit_limit(self, text, needle):
         with pytest.raises(ValueError, match=needle):
             parse_rational(text)
+        assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+
+    def test_parse_limit_without_the_interpreter_getter(self, monkeypatch):
+        # Interpreters before 3.10.7 have no get_int_max_str_digits.
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        with pytest.raises(ValueError, match="at most 4300"):
+            parse_rational("1e-4301")
         assert parse_rational("1e-4300") == Fraction(1, 10**4300)
 
 

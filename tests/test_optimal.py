@@ -13,6 +13,7 @@ from cantorquant.optimal import (
     Regime,
     _choice_radices,
     _lattice,
+    lattice_row,
     codebook_for,
     count_variants,
     enumerate_variants,
@@ -289,3 +290,10 @@ class TestLatticeAssembly:
                                                Fraction(x + 1, 3**depth))
                 shown = str(word) or "∅"
                 assert Cell(depth, x, x).address() == f"({shown},{shown})"
+
+    def test_lattice_row_follows_word_order(self):
+        for depth in range(7):
+            words = [s for s, _ in grid_cells(depth)[:: 2**depth]]
+            assert lattice_row(depth) == [
+                cell_interval(w)[0] * 3**depth for w in words
+            ]
