@@ -8,7 +8,7 @@ interval arithmetic over the product cell tree) plus Lloyd iteration
 and multistart search.  All arithmetic is exact; floats never appear.
 
 Every other name is importable from its own module: ``words``,
-``measure``, ``moments``, ``optimal``, ``engine``, ``plot`` and ``cli``.
+``measure``, ``optimal``, ``engine``, ``plot`` and ``cli``.
 """
 
 from . import cli

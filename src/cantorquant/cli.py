@@ -6,7 +6,8 @@ convenience, carry ten significant digits, and are marked as approx.
 Every command is deterministic given its flags.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 verification failure, 3 I/O or input-file error.
+2 verification failure, 3 I/O or input-file error.  ``verify`` fails
+when no multistart run finished, since it then has no evidence.
 """
 
 from __future__ import annotations
@@ -230,20 +231,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tally = result.tally()
     print("statuses: " + " ".join(f"{s.value}={tally[s]}" for s in RunStatus))
     best = result.best
-    beaten = False
     if best is None:
         print("best upper bound = none (no run finished)")
-    else:
-        upper = best.interval.upper
-        flag = "exact" if best.interval.exact else "interval"
-        print(
-            f"best upper bound = {format_rational(upper)} = "
-            f"{approx_str(upper)} (approx) [{flag}, seed {best.index}]"
-        )
-        beaten = upper < target - tol
-        if beaten:
-            print(f"multistart found a better codebook than the closed form by "
-                  f"{format_rational(target - upper)}")
+        print("RESULT: FAIL (no multistart run finished)")
+        return EXIT_VERIFY
+    upper = best.interval.upper
+    flag = "exact" if best.interval.exact else "interval"
+    print(
+        f"best upper bound = {format_rational(upper)} = "
+        f"{approx_str(upper)} (approx) [{flag}, seed {best.index}]"
+    )
+    beaten = upper < target - tol
+    if beaten:
+        print(f"multistart found a better codebook than the closed form by "
+              f"{format_rational(target - upper)}")
     ok = failed_variants == 0 and not beaten
     print(f"RESULT: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY

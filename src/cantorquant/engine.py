@@ -34,7 +34,10 @@ from .optimal import Codebook
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 40
-DEFAULT_MAX_ITERS = 50
+# Iteration cap of lloyd, and the depth retries of multistart_search.
+_MAX_ITERS = 50
+_DEPTH_STEP = 4
+_DEPTH_SPAN = 12
 
 UNRESOLVED = None
 
@@ -346,30 +349,25 @@ class LloydResult:
     converged: bool
 
 
-def lloyd(
-    codebook: Codebook,
-    depth: int,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> LloydResult:
+def lloyd(codebook: Codebook, depth: int) -> LloydResult:
     """Iterate lloyd_step to an exact fixed point or the iteration cap.
 
     Convergence means exact rational equality of consecutive codebooks,
     not a numerical threshold.  The returned interval is the certified
-    distortion of the final codebook.
+    distortion of the final codebook, at the default tolerance and depth
+    cap of exact_distortion.
     """
     current = codebook
     converged = False
     steps = 0
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         nxt = lloyd_step(current, depth)
         steps += 1
         if nxt == current:
             converged = True
             break
         current = nxt
-    interval = exact_distortion(current, tolerance, max_depth)
+    interval = exact_distortion(current)
     return LloydResult(current, interval, steps, converged)
 
 
@@ -436,24 +434,16 @@ class MultistartResult:
         return counts
 
 
-def multistart_search(
-    n: int,
-    seeds: int,
-    rng_seed: int,
-    depth: int,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    depth_step: int = 4,
-    depth_span: int = 12,
-) -> MultistartResult:
+def multistart_search(n: int, seeds: int, rng_seed: int, depth: int) -> MultistartResult:
     """Lloyd iteration from uniform random starts, deterministic stream.
 
     All runs draw from one generator in run order, 2n draws per run, so
     run r's start depends only on (n, rng_seed, r).  A run that hits a
     resolution failure restarts from its initial points with the depth
-    raised by depth_step, up to depth + depth_span, then gives up; a
-    bisector through the support dust does not get better with depth,
-    so most random starts for small n are expected to give up.  Failed
-    runs are recorded and counted, never silently dropped.
+    raised by 4, up to depth + 12, then gives up; a bisector through the
+    support dust does not get better with depth, so most random starts
+    for small n are expected to give up.  Failed runs are recorded and
+    counted, never silently dropped.
     """
     if n < 1:
         raise ValueError(f"multistart_search requires n >= 1, got {n}")
@@ -470,11 +460,11 @@ def multistart_search(
             continue
         record = None
         d = depth
-        while d <= depth + depth_span:
+        while d <= depth + _DEPTH_SPAN:
             try:
-                res = lloyd(initial, d, max_iters)
+                res = lloyd(initial, d)
             except ResolutionError:
-                d += depth_step
+                d += _DEPTH_STEP
                 continue
             except EmptyRegionError:
                 record = RunRecord(r, RunStatus.EMPTY_REGION, d, 0, None, None)
@@ -487,7 +477,7 @@ def multistart_search(
             break
         if record is None:
             record = RunRecord(
-                r, RunStatus.RESOLUTION_FAILURE, depth + depth_span, 0, None, None
+                r, RunStatus.RESOLUTION_FAILURE, depth + _DEPTH_SPAN, 0, None, None
             )
         runs.append(record)
     return MultistartResult(n, seeds, rng_seed, depth, tuple(runs))

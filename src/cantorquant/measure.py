@@ -8,16 +8,16 @@ contractions
 with probability weight 2^-(i+j) on S_(i,j).  It coincides with the
 product of two copies of the classical Cantor distribution, generated by
 U_1(x) = x/3 and U_2(x) = x/3 + 2/3 with weights 1/2 each.  Every
-geometric quantity here (map coefficients, block probabilities,
-contraction ratios, interval endpoints) is an exact rational; no floating
-point is used anywhere in this module.
+geometric quantity here (map coefficients, interval endpoints, masses,
+moments) is an exact rational; no floating point is used anywhere in
+this module.
 
-Addresses come from :mod:`cantorquant.words`: pair words name basic
-rectangles J_w = S_w([0,1]^2), binary words name Cantor cells
-A_s = U_s[0,1], and a tail marker on a pair word names the union of all
-sibling rectangles past its last symbol.  ``Region`` packages a
-rectangle or a tail union with its cached mass, per-axis contraction
-ratios, and bounding rectangle.
+Through :func:`cantorquant.words.F_map` every region of the infinite
+system is a product cell U_s[0,1] x U_t[0,1]: a basic rectangle
+J_w = S_w([0,1]^2) takes s and t from w's two coordinate words, and a
+sibling tail union sets the infinite flag on each coordinate that runs
+to infinity.  ``cell_moments`` gives the mass, centroid and second
+moment of any such cell in closed form.
 """
 
 from __future__ import annotations
@@ -25,15 +25,10 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .words import BinaryWord, F_map, NatWord, PairWord, TailMarker, components, parent
-
-# Rationals are stdlib fractions end to end: arbitrary precision, always
-# reduced, positive denominator.
-Rational = Fraction
+from .words import BinaryWord, NatWord
 
 HALF = Fraction(1, 2)
 
@@ -90,9 +85,6 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def translate(self, dx: Fraction, dy: Fraction) -> "Point":
-        return Point(self.x + dx, self.y + dy)
-
     def to_json(self) -> dict:
         return {"x": format_rational(self.x), "y": format_rational(self.y)}
 
@@ -123,17 +115,6 @@ class Map1D:
     @classmethod
     def identity(cls) -> "Map1D":
         return cls(Fraction(1), Fraction(0))
-
-
-@dataclass(frozen=True, slots=True)
-class Map2D:
-    """A product of two axis maps acting on points."""
-
-    horizontal: Map1D
-    vertical: Map1D
-
-    def apply(self, p: Point) -> Point:
-        return Point(self.horizontal.apply(p.x), self.vertical.apply(p.y))
 
 
 # ============================================================
@@ -168,39 +149,6 @@ def map_T_word(sigma: NatWord) -> Map1D:
     return m
 
 
-def map_S(omega: PairWord) -> Map2D:
-    """Compose the planar contractions along a pair word; empty -> identity."""
-    first, second = components(omega)
-    return Map2D(map_T_word(first), map_T_word(second))
-
-
-def prob(omega: PairWord) -> Fraction:
-    """Mass of the basic rectangle J_w: 2^-(sum of all symbol components).
-
-    The same value is the mass of any tail union attached to w, since the
-    siblings past a symbol carry exactly the missing geometric weight.
-    """
-    total = sum(i + j for i, j in omega)
-    return Fraction(1, 2**total)
-
-
-def ratio(omega: PairWord, axis: int) -> Fraction:
-    """Per-axis contraction ratio of S_w: 3^-(sum over the chosen coordinate)."""
-    if axis not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    total = sum(sym[axis - 1] for sym in omega)
-    return Fraction(1, 3**total)
-
-
-def ratios(omega: PairWord) -> tuple[Fraction, Fraction]:
-    return ratio(omega, 1), ratio(omega, 2)
-
-
-def interval_mass(sigma: NatWord) -> Fraction:
-    """Mass of the 1-D block image T_s[0,1]: the product of weights 2^-k."""
-    return Fraction(1, 2 ** sum(sigma.symbols))
-
-
 def cantor_point(sigma: BinaryWord) -> Fraction:
     """The cell midpoint A(s) = U_s(1/2), the conditional mean on the cell."""
     return map_U(sigma).apply(HALF)
@@ -212,105 +160,22 @@ def cell_interval(sigma: BinaryWord) -> tuple[Fraction, Fraction]:
     return m.apply(Fraction(0)), m.apply(Fraction(1))
 
 
-def conjugacy_check(sigma: NatWord, x: Fraction) -> bool:
-    """Exact check that the composed block map agrees with the binary
-    composition along the conjugated word: T_s(x) = U_F(s)(x)."""
-    return map_T_word(sigma).apply(x) == map_U(F_map(sigma)).apply(x)
+def cell_moments(s: BinaryWord, t: BinaryWord) -> tuple[Fraction, Point, Fraction]:
+    """Mass, centroid and second moment about the centroid of U_s[0,1] x U_t[0,1].
 
-
-# ============================================================
-# Regions: rectangles and tail unions
-# ============================================================
-
-class RegionKind(Enum):
-    RECT = "rect"
-    TAIL = "tail"
-
-
-@dataclass(frozen=True, slots=True)
-class Region:
-    """An addressed piece of the support with cached mass and geometry.
-
-    kind RECT: the basic rectangle J_w for a pair word w.
-    kind TAIL: one of the three sibling tail unions attached to w.
-
-    ``mass`` is the exact probability of the region; ``ratio_x``/``ratio_y``
-    are the per-axis contraction factors entering the second-moment closed
-    form mass*(rx^2+ry^2)/8; the bounds give the closed bounding rectangle.
+    The mass is 2^-(|s|+|t|) and the centroid the cell midpoint
+    ((2X+1) / (2 * 3^|s|), (2Y+1) / (2 * 3^|t|)) with X = s.lattice and
+    Y = t.lattice.  Each axis marginal has variance 1/8 before the
+    contraction by 3^-|s| or 3^-|t|, so the second moment is
+    mass * (9^-|s| + 9^-|t|) / 8.  The integral of |p - c|^2 over the
+    cell is second + mass * |centroid - c|^2, the parallel-axis form of
+Graf & Luschgy, Foundations of Quantization for Probability
+Distributions (LNM 1730, 2000).
     """
-
-    kind: RegionKind
-    word: PairWord
-    tail: TailMarker
-    mass: Fraction
-    ratio_x: Fraction
-    ratio_y: Fraction
-    x0: Fraction
-    x1: Fraction
-    y0: Fraction
-    y1: Fraction
-
-    def address(self) -> str:
-        return f"{self.word}{self.tail}"
-
-
-def rect_region(word: PairWord) -> Region:
-    """The basic rectangle J_w (the unit square for the empty word)."""
-    m = map_S(word)
-    rx, ry = ratios(word)
-    return Region(
-        kind=RegionKind.RECT,
-        word=word,
-        tail=TailMarker.NONE,
-        mass=prob(word),
-        ratio_x=rx,
-        ratio_y=ry,
-        x0=m.horizontal.apply(Fraction(0)),
-        x1=m.horizontal.apply(Fraction(1)),
-        y0=m.vertical.apply(Fraction(0)),
-        y1=m.vertical.apply(Fraction(1)),
+    mass = Fraction(1, 2 ** (len(s) + len(t)))
+    centroid = Point(
+        Fraction(2 * s.lattice + 1, 2 * 3 ** len(s)),
+        Fraction(2 * t.lattice + 1, 2 * 3 ** len(t)),
     )
-
-
-def tail_region(word: PairWord, tail: TailMarker) -> Region:
-    """A sibling tail union attached to a nonempty pair word.
-
-    Mass equals prob(word); ratios are those of the word itself, which is
-    the parametrization under which the union's second moment about its
-    own centroid takes the same closed form as the rectangle's.
-    """
-    if tail is TailMarker.NONE:
-        raise ValueError("tail_region requires a real tail marker")
-    if len(word) == 0:
-        raise ValueError("tail unions require at least one symbol")
-    i, j = word.last
-    pre = map_S(parent(word))
-    rx, ry = ratios(word)
-
-    # Hull per axis: the written block for a kept coordinate, the closing
-    # strip [1 - 3^-k, 1] for a coordinate that runs to infinity.
-    def kept(axis_map: Map1D, k: int) -> tuple[Fraction, Fraction]:
-        block = axis_map.compose(map_T(k))
-        return block.apply(Fraction(0)), block.apply(Fraction(1))
-
-    def runaway(axis_map: Map1D, k: int) -> tuple[Fraction, Fraction]:
-        return axis_map.apply(1 - Fraction(1, 3**k)), axis_map.apply(Fraction(1))
-
-    if tail is TailMarker.EMPTY_INF:
-        xb, yb = kept(pre.horizontal, i), runaway(pre.vertical, j)
-    elif tail is TailMarker.INF_EMPTY:
-        xb, yb = runaway(pre.horizontal, i), kept(pre.vertical, j)
-    else:
-        xb, yb = runaway(pre.horizontal, i), runaway(pre.vertical, j)
-    return Region(
-        kind=RegionKind.TAIL,
-        word=word,
-        tail=tail,
-        mass=prob(word),
-        ratio_x=rx,
-        ratio_y=ry,
-        x0=xb[0],
-        x1=xb[1],
-        y0=yb[0],
-        y1=yb[1],
-    )
+    second = mass * (Fraction(1, 9 ** len(s)) + Fraction(1, 9 ** len(t))) / 8
+    return mass, centroid, second

@@ -256,11 +256,11 @@ def enumerate_variants(n: int) -> Iterator[VariantSpec]:
 # ============================================================
 # Point patterns per cell
 # ============================================================
-# A depth-ell cell U_s[0,1] is the lattice interval [X, X+1] * 3^-ell,
-# where the base-3 digits of X spell s with 0 for U_1 and 2 for U_2.
-# Over Q = 2 * 3^(ell+1) its left child's midpoint, its own midpoint and
-# its right child's midpoint have the numerators 6X+1, 6X+3 and 6X+5,
-# so each pattern below lists (dx, dy) offsets from (6X, 6Y).
+# A depth-ell cell U_s[0,1] is the lattice interval [X, X+1] * 3^-ell
+# with X = s.lattice.  Over Q = 2 * 3^(ell+1) its left child's midpoint,
+# its own midpoint and its right child's midpoint have the numerators
+# 6X+1, 6X+3 and 6X+5, so each pattern below lists (dx, dy) offsets from
+# (6X, 6Y).
 
 _MIDPOINT = ((3, 3),)
 # Choice 0 splits along x, choice 1 along y.
@@ -276,14 +276,9 @@ _TRIPLES = (
 _CHILD_GRID = ((1, 1), (1, 5), (5, 1), (5, 5))
 
 
-def _lattice(word: BinaryWord) -> int:
-    """The X of the cell U_s[0,1] = [X, X+1] * 3^-|s|."""
-    return int("0" + word.symbols.replace("1", "0"), 3)
-
-
 def lattice_row(ell: int) -> list[int]:
     """The X of every depth-ell cell U_s[0,1], s in lexicographic order."""
-    return [_lattice(s) for s in _words(ell)]
+    return [s.lattice for s in _words(ell)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -360,7 +355,7 @@ def codebook_for(spec: VariantSpec) -> Codebook:
             pattern = _CHILD_GRID if cell in split else _TRIPLES[choice_of[cell]]
         else:
             pattern = (_TRIPLES if cell in split else _AXIS_PAIRS)[choice_of[cell]]
-        x, y = 6 * _lattice(cell[0]), 6 * _lattice(cell[1])
+        x, y = 6 * cell[0].lattice, 6 * cell[1].lattice
         pairs.extend((x + dx, y + dy) for dx, dy in pattern)
     # Over the common denominator, integer order is point order.
     pairs.sort()

@@ -9,14 +9,16 @@ Three word families describe locations in the model:
 * ``BinaryWord`` -- finite words over {1, 2}, addressing the classical
   two-map Cantor refinement.
 
-A ``TailMarker`` attached to a PairWord denotes the union of all sibling
-rectangles whose last symbol runs past the written one, in the first
-coordinate, the second, or both.
-
 The conjugation map ``F_map`` translates NatWords (with or without an
 infinite-tail flag) into BinaryWords: each symbol n becomes n-1 twos
 followed by a one, and a trailing infinite symbol n becomes n twos.  The
 translation is a bijection; ``F_inverse`` parses any binary word back.
+The infinite flag names the union of all blocks past the written last
+symbol, so with the flag set on each coordinate that runs to infinity a
+basic rectangle and its three sibling tail unions all become product
+Cantor cells U_s[0,1] x U_t[0,1].  ``BinaryWord.lattice`` places such a
+cell on the integer lattice.
+
 All values are immutable and totally ordered, so downstream enumeration
 is deterministic.
 """
@@ -25,20 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
-
-
-class TailMarker(Enum):
-    """Which coordinates of the last symbol run to infinity."""
-
-    NONE = ""
-    EMPTY_INF = "(∅,∞)"
-    INF_EMPTY = "(∞,∅)"
-    INF_INF = "(∞,∞)"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -123,13 +112,6 @@ class PairWord:
         return "".join(f"({i},{j})" for i, j in self.symbols)
 
 
-def parent(word: PairWord) -> PairWord:
-    """Drop the last symbol.  Errors on the empty word."""
-    if len(word) == 0:
-        raise ValueError("parent of the empty word is undefined")
-    return PairWord(word.symbols[:-1])
-
-
 def components(word: PairWord) -> tuple[NatWord, NatWord]:
     """Project a pair word onto its two coordinate words."""
     return (
@@ -156,6 +138,12 @@ class BinaryWord:
         if symbol not in (1, 2):
             raise ValueError(f"binary symbol must be 1 or 2, got {symbol}")
         return BinaryWord(self.symbols + str(symbol))
+
+    @property
+    def lattice(self) -> int:
+        """The X of the cell U_s[0,1] = [X, X+1] * 3^-|s|: the base-3
+        number spelled with digit 0 for U_1 and 2 for U_2."""
+        return int("0" + self.symbols.replace("1", "0"), 3)
 
     def __len__(self) -> int:
         return len(self.symbols)

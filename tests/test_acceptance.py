@@ -16,8 +16,7 @@ from cantorquant.engine import (
     lloyd_step,
     multistart_search,
 )
-from cantorquant.measure import Point, interval_mass, map_T, map_U, map_T_word, rect_region
-from cantorquant.moments import union_centroid, union_distortion
+from cantorquant.measure import Point, cell_moments, map_T, map_U, map_T_word
 from cantorquant.optimal import (
     Codebook,
     count_variants,
@@ -25,7 +24,7 @@ from cantorquant.optimal import (
     quantization_error,
     spread_indices,
 )
-from cantorquant.words import F_map, NatWord, PairWord
+from cantorquant.words import F_map, NatWord, PairWord, components
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
@@ -108,7 +107,7 @@ def test_criterion_5_word_translation_is_a_conjugacy():
             sigma = NatWord.of(*symbols)
             image = F_map(sigma)
             words += 1
-            ok &= interval_mass(sigma) == Fraction(1, 2 ** len(image))
+            ok &= Fraction(1, 2 ** sum(sigma)) == Fraction(1, 2 ** len(image))
             left = map_T_word(sigma)
             right = map_U(image)
             ok &= all(left.apply(x) == right.apply(x) for x in xs)
@@ -116,6 +115,22 @@ def test_criterion_5_word_translation_is_a_conjugacy():
                 break
     verdict("5", ok, f"{words} words, symbols <= 5, length <= 6, three probe points")
     assert ok
+
+
+def _rect_moments(word: PairWord) -> tuple:
+    """Mass, centroid and second moment of J_w, the cell (F(w_1), F(w_2))."""
+    first, second = components(word)
+    return cell_moments(F_map(first), F_map(second))
+
+
+def _union_distortion(rects: list, center: Point) -> Fraction:
+    return sum(second + mass * c.dist2(center) for mass, c, second in rects)
+
+
+def _union_centroid(rects: list) -> Point:
+    mass = sum(m for m, _, _ in rects)
+    return Point(sum(m * c.x for m, c, _ in rects) / mass,
+                 sum(m * c.y for m, c, _ in rects) / mass)
 
 
 def _region_a_rectangles() -> list:
@@ -140,7 +155,7 @@ def _region_a_rectangles() -> list:
     for prefix, i, js in families:
         base = PairWord.parse(prefix)
         for j in js:
-            rects.append(rect_region(base.append(i, j)))
+            rects.append(_rect_moments(base.append(i, j)))
     return rects
 
 
@@ -195,14 +210,14 @@ def _corner_strip_rectangles(limit: int, max_symbol: int) -> list:
     """
     rects = []
     for j in range(2, limit):
-        rects.append(rect_region(PairWord.of((1, j))))
+        rects.append(_rect_moments(PairWord.of((1, j))))
     for i in range(1, limit):
         for j in range(i + 1, limit - i + 1):
-            rects.append(rect_region(PairWord.of((1, 1), (i, j))))
+            rects.append(_rect_moments(PairWord.of((1, 1), (i, j))))
     for k in range(1, max_symbol + 1):
         for i in range(1, limit):
             for j in range(i + 1, limit - i + 1):
-                rects.append(rect_region(PairWord.of((1, 1), (k, k), (i, j))))
+                rects.append(_rect_moments(PairWord.of((1, 1), (k, k), (i, j))))
     return rects
 
 
@@ -227,7 +242,7 @@ def test_criterion_6_lower_bound_constants():
     tol12 = Fraction(1, 10**12)
 
     rects = _region_a_rectangles()
-    doubled = 2 * union_distortion(rects, Point(Fraction(3, 10), Fraction(7, 10)))
+    doubled = 2 * _union_distortion(rects, Point(Fraction(3, 10), Fraction(7, 10)))
     region_ok = (
         len(rects) == 69
         and abs(doubled - Fraction(13899, 100000)) < Fraction(1, 10**5)
@@ -249,7 +264,7 @@ def test_criterion_6_lower_bound_constants():
         and abs(half.y - Fraction(7, 10)) < tol12
     )
 
-    corner = union_centroid(_corner_strip_rectangles(64, 32))
+    corner = _union_centroid(_corner_strip_rectangles(64, 32))
     corner_ok = (
         abs(corner.x - Fraction(1385, 9438)) < tol12
         and abs(corner.y - Fraction(6173, 9438)) < tol12

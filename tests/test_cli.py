@@ -1,8 +1,11 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,17 +173,26 @@ class TestDistortion:
 
 
 class TestVerify:
+    # Run 9 of this stream converges to the optimum 5/36 at depth 12.
+    FINISHING = ("verify", "2", "--seeds", "10", "--depth", "12")
+
     def test_small_run_passes(self, capsys):
-        rc, out, _ = run(capsys, "verify", "4", "--seeds", "3", "--depth", "12")
+        rc, out, _ = run(capsys, *self.FINISHING)
         assert rc == 0
         assert "variant 0: fixed point PASS" in out
         assert out.rstrip().endswith("RESULT: PASS")
 
     def test_reports_status_tally(self, capsys):
-        rc, out, _ = run(capsys, "verify", "2", "--seeds", "5", "--depth", "14")
+        rc, out, _ = run(capsys, *self.FINISHING)
         assert rc == 0
-        assert "statuses: converged=" in out
-        assert "best upper bound" in out
+        assert "statuses: converged=1 " in out
+        assert "best upper bound = 5/36 " in out
+
+    def test_fails_when_no_run_finished(self, capsys):
+        rc, out, _ = run(capsys, "verify", "4", "--seeds", "3", "--depth", "12")
+        assert rc == 2
+        assert "resolution-failure=3" in out
+        assert out.rstrip().endswith("RESULT: FAIL (no multistart run finished)")
 
 
 class TestPlot:
@@ -249,3 +261,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/36 = 0.02777777778 (approx)\n"
+
+
+def test_readme_library_sketch_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    sketch = re.search(r"## Library sketch\n+```python\n(.*?)```", readme, re.DOTALL)
+    assert sketch is not None
+    proc = subprocess.run(
+        [sys.executable, "-c", sketch[1]],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -22,7 +22,7 @@ from cantorquant.engine import (
     lloyd_step,
     multistart_search,
 )
-from cantorquant.measure import Point, cell_interval
+from cantorquant.measure import Point, cell_interval, cell_moments
 from cantorquant.optimal import (
     Codebook,
     count_variants,
@@ -139,13 +139,11 @@ class TestExactDistortion:
         assert values == {Fraction(1, 12)}
 
     def test_single_center_matches_moment_engine(self):
-        from cantorquant.measure import rect_region
-        from cantorquant.moments import single_center_distortion
-        from cantorquant.words import PairWord
         center = Point(Fraction(2, 7), Fraction(1, 3))
         iv = exact_distortion(Codebook.of([center]))
+        mass, centroid, second = cell_moments(BinaryWord(""), BinaryWord(""))
         assert iv.exact
-        assert iv.lower == single_center_distortion(rect_region(PairWord()), center)
+        assert iv.lower == second + mass * centroid.dist2(center)
 
     def test_diagonal_intervals_nest(self):
         tiny = Fraction(1, 10**30)

@@ -1,4 +1,4 @@
-"""Maps, masses, intervals, regions, and the block/binary conjugacy."""
+"""Maps, intervals, cell masses, regions, and the block/binary conjugacy."""
 
 import itertools
 import sys
@@ -9,24 +9,16 @@ import pytest
 from cantorquant.measure import (
     Map1D,
     Point,
-    RegionKind,
     cantor_point,
     cell_interval,
-    conjugacy_check,
+    cell_moments,
     format_rational,
-    interval_mass,
-    map_S,
     map_T,
     map_T_word,
     map_U,
     parse_rational,
-    prob,
-    ratio,
-    ratios,
-    rect_region,
-    tail_region,
 )
-from cantorquant.words import BinaryWord, F_map, NatWord, PairWord, TailMarker
+from cantorquant.words import BinaryWord, F_map, NatWord, PairWord, components
 
 HALF = Fraction(1, 2)
 
@@ -71,11 +63,6 @@ class TestPoint:
     def test_dist2(self):
         assert Point.of(0, 0).dist2(Point.of(1, 1)) == 2
         assert Point(HALF, HALF).dist2(Point(HALF, HALF)) == 0
-
-    def test_translate(self):
-        assert Point.of(1, 2).translate(Fraction(1, 3), Fraction(-1)) == Point(
-            Fraction(4, 3), Fraction(1)
-        )
 
     def test_json_roundtrip(self):
         p = Point(Fraction(5, 36), Fraction(7, 10))
@@ -143,29 +130,39 @@ class TestBinaryMaps:
             assert cantor_point(w) == (a + b) / 2
 
 
+def cell_of(word: PairWord, inf_x: bool = False, inf_y: bool = False):
+    """The product cell (s, t) of J_w, or of a sibling tail union of w."""
+    first, second = components(word)
+    return F_map(first, inf_x), F_map(second, inf_y)
+
+
+def mass(word: PairWord) -> Fraction:
+    return cell_moments(*cell_of(word))[0]
+
+
 class TestMassAndRatio:
     def test_prob_is_two_power(self):
-        assert prob(PairWord()) == 1
-        assert prob(PairWord.of((1, 2))) == Fraction(1, 8)
-        assert prob(PairWord.of((1, 2), (2, 1))) == Fraction(1, 64)
+        assert mass(PairWord()) == 1
+        assert mass(PairWord.of((1, 2))) == Fraction(1, 8)
+        assert mass(PairWord.of((1, 2), (2, 1))) == Fraction(1, 64)
 
     def test_prob_multiplicative(self):
         left = PairWord.of((2, 1))
         joined = PairWord.of((2, 1), (1, 3))
-        assert prob(joined) == prob(left) * prob(PairWord.of((1, 3)))
+        assert mass(joined) == mass(left) * mass(PairWord.of((1, 3)))
 
     def test_ratio_axes(self):
-        w = PairWord.of((1, 2), (2, 1))
-        assert ratio(w, 1) == Fraction(1, 27)
-        assert ratio(w, 2) == Fraction(1, 27)
-        assert ratios(w) == (Fraction(1, 27), Fraction(1, 27))
-        with pytest.raises(ValueError):
-            ratio(w, 0)
+        # Per-axis contraction 3^-(sum over the coordinate): the cell width.
+        s, t = cell_of(PairWord.of((1, 3), (2, 1)))
+        a, b = cell_interval(s)
+        c, d = cell_interval(t)
+        assert (b - a, d - c) == (Fraction(1, 27), Fraction(1, 81))
 
     def test_interval_mass_matches_translation_length(self):
         for word in (NatWord.of(1), NatWord.of(2, 3), NatWord.of(4, 1, 2)):
-            assert interval_mass(word) == Fraction(1, 2 ** len(F_map(word)))
-            assert interval_mass(word) == Fraction(1, 2 ** sum(word))
+            image = F_map(word)
+            assert cell_moments(image, BinaryWord(""))[0] == Fraction(1, 2 ** len(image))
+            assert len(image) == sum(word)
 
 
 class TestConjugacy:
@@ -177,41 +174,36 @@ class TestConjugacy:
                 image = F_map(word)
                 for x in xs:
                     assert map_T_word(word).apply(x) == map_U(image).apply(x)
-                assert conjugacy_check(word, HALF)
 
     def test_planar_map_agrees_with_components(self):
-        w = PairWord.of((1, 1), (2, 3))
-        p = map_S(w).apply(Point(HALF, HALF))
-        assert p.x == map_T_word(NatWord.of(1, 2)).apply(HALF)
-        assert p.y == map_T_word(NatWord.of(1, 3)).apply(HALF)
+        # The centroid of J_w is S_w(1/2, 1/2), axis by axis.
+        c = cell_moments(*cell_of(PairWord.of((1, 1), (2, 3))))[1]
+        assert c.x == map_T_word(NatWord.of(1, 2)).apply(HALF)
+        assert c.y == map_T_word(NatWord.of(1, 3)).apply(HALF)
 
 
 class TestRegions:
     def test_unit_square(self):
-        r = rect_region(PairWord())
-        assert r.kind is RegionKind.RECT
-        assert r.mass == 1
-        assert (r.x0, r.x1, r.y0, r.y1) == (0, 1, 0, 1)
-        assert r.address() == ""
+        s, t = cell_of(PairWord())
+        assert cell_moments(s, t)[0] == 1
+        assert cell_interval(s) + cell_interval(t) == (0, 1, 0, 1)
 
     def test_rect_bounds_follow_blocks(self):
-        r = rect_region(PairWord.of((1, 2)))
-        assert (r.x0, r.x1) == (Fraction(0), Fraction(1, 3))
-        assert (r.y0, r.y1) == (Fraction(2, 3), Fraction(7, 9))
-        assert r.mass == Fraction(1, 8)
-        assert r.address() == "(1,2)"
+        s, t = cell_of(PairWord.of((1, 2)))
+        assert cell_interval(s) == (Fraction(0), Fraction(1, 3))
+        assert cell_interval(t) == (Fraction(2, 3), Fraction(7, 9))
+        assert cell_moments(s, t)[0] == Fraction(1, 8)
 
     def test_tail_hull_and_mass(self):
-        t = tail_region(PairWord.of((1, 2)), TailMarker.EMPTY_INF)
-        assert t.kind is RegionKind.TAIL
-        assert t.mass == Fraction(1, 8)
-        assert (t.x0, t.x1) == (Fraction(0), Fraction(1, 3))
+        s, t = cell_of(PairWord.of((1, 2)), inf_y=True)
+        assert cell_moments(s, t)[0] == Fraction(1, 8)
+        assert cell_interval(s) == (Fraction(0), Fraction(1, 3))
         # Second coordinate runs past block 2: the closing strip.
-        assert (t.y0, t.y1) == (Fraction(8, 9), Fraction(1))
-        assert t.address() == "(1,2)(∅,∞)"
+        assert cell_interval(t) == (Fraction(8, 9), Fraction(1))
 
     def test_tail_requires_marker_and_symbol(self):
+        # The marker turns the rectangle into its tail; the empty word has none.
+        word = PairWord.of((1, 2))
+        assert cell_of(word, inf_y=True) != cell_of(word)
         with pytest.raises(ValueError):
-            tail_region(PairWord.of((1, 2)), TailMarker.NONE)
-        with pytest.raises(ValueError):
-            tail_region(PairWord(), TailMarker.INF_INF)
+            cell_of(PairWord(), inf_x=True, inf_y=True)

@@ -12,7 +12,6 @@ from cantorquant.optimal import (
     Codebook,
     Regime,
     _choice_radices,
-    _lattice,
     lattice_row,
     codebook_for,
     count_variants,
@@ -285,7 +284,7 @@ class TestLatticeAssembly:
         for depth in range(7):
             for digits in itertools.product("12", repeat=depth):
                 word = BinaryWord("".join(digits))
-                x = _lattice(word)
+                x = word.lattice
                 assert cell_interval(word) == (Fraction(x, 3**depth),
                                                Fraction(x + 1, 3**depth))
                 shown = str(word) or "∅"

@@ -8,12 +8,10 @@ from cantorquant.words import (
     BinaryWord,
     NatWord,
     PairWord,
-    TailMarker,
     F_inverse,
     F_map,
     components,
     f_map,
-    parent,
 )
 
 
@@ -50,15 +48,6 @@ class TestPairWord:
         assert w.last == (3, 1)
         assert list(w) == [(1, 2), (3, 1)]
 
-    def test_parent(self):
-        w = PairWord.of((1, 2), (3, 1))
-        assert parent(w) == PairWord.of((1, 2))
-        assert parent(PairWord.of((1, 2))) == PairWord()
-
-    def test_parent_of_empty_fails(self):
-        with pytest.raises(ValueError):
-            parent(PairWord())
-
     def test_components(self):
         first, second = components(PairWord.of((1, 2), (3, 1)))
         assert first == NatWord.of(1, 3)
@@ -89,10 +78,14 @@ class TestBinaryWord:
 
 class TestTailMarkers:
     def test_values(self):
-        assert str(TailMarker.NONE) == ""
-        assert str(TailMarker.EMPTY_INF) == "(∅,∞)"
-        assert str(TailMarker.INF_EMPTY) == "(∞,∅)"
-        assert str(TailMarker.INF_INF) == "(∞,∞)"
+        # The four tail kinds of (1,1) -- none, (∅,∞), (∞,∅), (∞,∞) -- set
+        # the infinite flag per coordinate and give the four depth-1 cells.
+        first, second = components(PairWord.of((1, 1)))
+        cells = [
+            (str(F_map(first, inf_x)), str(F_map(second, inf_y)))
+            for inf_x, inf_y in ((False, False), (False, True), (True, False), (True, True))
+        ]
+        assert cells == [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]
 
 
 class TestTranslation:
