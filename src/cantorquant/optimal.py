@@ -30,6 +30,15 @@ error the total variance 1/4.
 Variants are indexed deterministically: subsets I in lexicographic order
 of their sorted cell addresses, then choice vectors in numeric order.
 The index <-> VariantSpec mapping is part of the public contract.
+
+Internally a depth-ell cell (s, t) is its position rank(s) * 2^ell +
+rank(t), where rank reads a word as binary with 1 -> 0 and 2 -> 1; that
+is its index in grid_cells(ell), so address order is position order.
+Subsets are ranked and unranked as sets of positions in the
+combinatorial number system, and codebooks are assembled as integer
+numerator pairs over the common denominator 2 * 3^(ell+1), with one
+Fraction per distinct numerator.  BinaryWord addresses appear only in
+the VariantSpecs handed out and read back.
 """
 
 from __future__ import annotations
@@ -140,29 +149,52 @@ def count_variants(n: int) -> int:
 
 
 def _unrank_combination(total: int, size: int, rank: int) -> tuple[int, ...]:
-    """The rank-th size-subset of range(total) in lexicographic order."""
+    """The rank-th size-subset of range(total) in lexicographic order.
+
+    Before candidate x, skip = C(m, r) with m = total - x - 1 and r the
+    elements still to pick after the current slot: the number of subsets
+    that put x in this slot.  Passing x over gives C(m-1, r) =
+    C(m, r) * (m-r) / m, and picking it gives C(m-1, r-1) = C(m, r) * r / m,
+    both exact, so math.comb runs once.
+    """
+    if size == 0:
+        return ()
     out = []
-    x = 0
-    for slot in range(size):
-        while True:
-            skip = math.comb(total - x - 1, size - slot - 1)
-            if rank < skip:
-                break
+    x, m, r = 0, total - 1, size - 1
+    skip = math.comb(m, r)
+    while True:
+        if rank < skip:
+            out.append(x)
+            if r == 0:
+                return tuple(out)
+            skip = skip * r // m
+            r -= 1
+        else:
             rank -= skip
-            x += 1
-        out.append(x)
+            skip = skip * (m - r) // m
         x += 1
-    return tuple(out)
+        m -= 1
 
 
 def _rank_combination(total: int, picked: tuple[int, ...]) -> int:
+    """Inverse of _unrank_combination, with the same skip counts."""
+    if not picked:
+        return 0
     rank = 0
-    prev = -1
-    size = len(picked)
-    for slot, x in enumerate(picked):
-        for y in range(prev + 1, x):
-            rank += math.comb(total - y - 1, size - slot - 1)
-        prev = x
+    y, m, r = 0, total - 1, len(picked) - 1
+    skip = math.comb(m, r)
+    for x in picked:
+        while y < x:
+            rank += skip
+            skip = skip * (m - r) // m
+            y += 1
+            m -= 1
+        if r == 0:
+            break
+        skip = skip * r // m
+        r -= 1
+        y += 1
+        m -= 1
     return rank
 
 
@@ -184,36 +216,78 @@ def _choice_radices(
     return (), ()
 
 
+# A word's rank reads it as binary with 1 -> 0 and 2 -> 1.
+_RANK_DIGITS = str.maketrans("12", "01")
+
+
+def _cell_words(ell: int, positions: Iterable[int]) -> tuple[CellAddress, ...]:
+    """The addresses of the cells at the given positions."""
+    words = _words(ell)
+    return tuple((words[p >> ell], words[p & ((1 << ell) - 1)]) for p in positions)
+
+
+def _split_positions(spec: VariantSpec) -> frozenset[int]:
+    """spec.split_cells as cell positions.
+
+    Cell (s, t) of depth ell has position rank(s) * 2^ell + rank(t), its
+    index in grid_cells(ell).  Raises ValueError for a cell of another depth
+    and for a repeated cell.
+    """
+    ell = spec.level
+    positions = set()
+    for s, t in spec.split_cells:
+        if len(s) != ell or len(t) != ell:
+            raise ValueError(f"split cell ({s}, {t}) is not a cell of depth {ell}")
+        p = int("0" + (s.symbols + t.symbols).translate(_RANK_DIGITS), 2)
+        if p in positions:
+            raise ValueError(f"split cell ({s}, {t}) is repeated")
+        positions.add(p)
+    return frozenset(positions)
+
+
+def _checked(spec: VariantSpec) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The split positions and choice radices of a spec, after checking
+    that it describes an n-point variant; raises ValueError if not."""
+    if level(spec.n) != (spec.level, spec.regime):
+        raise ValueError(
+            f"n={spec.n} is not in regime {spec.regime.value} at level {spec.level}"
+        )
+    split = _split_positions(spec)
+    if len(split) != _split_count(spec.n, spec.level, spec.regime):
+        raise ValueError("split-cell count does not match the regime")
+    _, radices = _choice_radices(spec.n, spec.regime, range(4**spec.level), split)
+    if len(spec.choices) != len(radices):
+        raise ValueError("choice vector length does not match the regime")
+    for digit, radix in zip(spec.choices, radices):
+        if not 0 <= digit < radix:
+            raise ValueError(f"choice {digit} out of range for arity {radix}")
+    return split, radices
+
+
 def variant_by_index(n: int, index: int) -> VariantSpec:
     """The index-th variant (0-based) in the lexicographic enumeration."""
     total = count_variants(n)
     if not 0 <= index < total:
         raise ValueError(f"variant index {index} out of range [0, {total}) for n={n}")
     ell, regime = level(n)
-    cells = grid_cells(ell)
+    cells = 4**ell
     k = _split_count(n, ell, regime)
     if regime is Regime.POWER:
         return VariantSpec(n, ell, regime, (), ())
-    per_subset = total // math.comb(len(cells), k)
+    per_subset = total // math.comb(cells, k)
     subset_rank, choice_code = divmod(index, per_subset)
-    picked = _unrank_combination(len(cells), k, subset_rank)
-    split = tuple(cells[i] for i in picked)
-    chosen, radices = _choice_radices(n, regime, cells, frozenset(split))
+    picked = _unrank_combination(cells, k, subset_rank)
+    _, radices = _choice_radices(n, regime, range(cells), frozenset(picked))
     digits = [0] * len(radices)
     for pos in range(len(radices) - 1, -1, -1):
         choice_code, digits[pos] = divmod(choice_code, radices[pos])
-    return VariantSpec(n, ell, regime, split, tuple(digits))
+    return VariantSpec(n, ell, regime, _cell_words(ell, picked), tuple(digits))
 
 
 def variant_index(spec: VariantSpec) -> int:
-    """Inverse of variant_by_index."""
-    if spec.regime is Regime.POWER:
-        return 0
-    cells = grid_cells(spec.level)
-    pos = {cell: idx for idx, cell in enumerate(cells)}
-    picked = tuple(sorted(pos[c] for c in spec.split_cells))
-    subset_rank = _rank_combination(len(cells), picked)
-    _, radices = _choice_radices(spec.n, spec.regime, cells, frozenset(spec.split_cells))
+    """Inverse of variant_by_index; raises ValueError on a malformed spec."""
+    split, radices = _checked(spec)
+    subset_rank = _rank_combination(4**spec.level, tuple(sorted(split)))
     code = 0
     for digit, radix in zip(spec.choices, radices):
         code = code * radix + digit
@@ -241,14 +315,14 @@ def enumerate_variants(n: int) -> Iterator[VariantSpec]:
     if n < 2:
         raise ValueError(f"enumerate_variants requires n >= 2, got {n}")
     ell, regime = level(n)
-    cells = grid_cells(ell)
+    cells = range(4**ell)
     k = _split_count(n, ell, regime)
     if regime is Regime.POWER:
         yield VariantSpec(n, ell, regime, (), ())
         return
-    for picked in itertools.combinations(range(len(cells)), k):
-        split = tuple(cells[i] for i in picked)
-        _, radices = _choice_radices(n, regime, cells, frozenset(split))
+    for picked in itertools.combinations(cells, k):
+        split = _cell_words(ell, picked)
+        _, radices = _choice_radices(n, regime, cells, frozenset(picked))
         for digits in itertools.product(*(range(r) for r in radices)):
             yield VariantSpec(n, ell, regime, split, digits)
 
@@ -332,35 +406,40 @@ class Codebook:
 
 
 def codebook_for(spec: VariantSpec) -> Codebook:
-    """Assemble the codebook of a variant spec."""
-    cells = grid_cells(spec.level)
-    split = frozenset(spec.split_cells)
-    if len(split) != _split_count(spec.n, spec.level, spec.regime):
-        raise ValueError("split-cell count does not match the regime")
-    chosen, radices = _choice_radices(spec.n, spec.regime, cells, split)
-    if len(spec.choices) != len(radices):
-        raise ValueError("choice vector length does not match the regime")
-    for digit, radix in zip(spec.choices, radices):
-        if not 0 <= digit < radix:
-            raise ValueError(f"choice {digit} out of range for arity {radix}")
-    choice_of = dict(zip(chosen, spec.choices))
-    upper_band = spec.regime is Regime.HIGH and spec.n > 3 * len(cells)
+    """Assemble the codebook of a variant spec; raises ValueError on a
+    malformed spec."""
+    split, _ = _checked(spec)
+    ell = spec.level
+    row = lattice_row(ell)
+    upper_band = spec.regime is Regime.HIGH and spec.n > 3 * 4**ell
+    # The cells that carry a choice take spec.choices in position order.
+    digits = iter(spec.choices)
     pairs: list[tuple[int, int]] = []
-    for cell in cells:
-        if spec.regime is Regime.POWER:
-            pattern = _MIDPOINT
-        elif spec.regime is Regime.LOW:
-            pattern = _AXIS_PAIRS[choice_of[cell]] if cell in split else _MIDPOINT
-        elif upper_band:
-            pattern = _CHILD_GRID if cell in split else _TRIPLES[choice_of[cell]]
-        else:
-            pattern = (_TRIPLES if cell in split else _AXIS_PAIRS)[choice_of[cell]]
-        x, y = 6 * cell[0].lattice, 6 * cell[1].lattice
-        pairs.extend((x + dx, y + dy) for dx, dy in pattern)
-    # Over the common denominator, integer order is point order.
+    cell = 0
+    for sx in row:
+        x = 6 * sx
+        for sy in row:
+            if spec.regime is Regime.POWER:
+                pattern = _MIDPOINT
+            elif spec.regime is Regime.LOW:
+                pattern = _AXIS_PAIRS[next(digits)] if cell in split else _MIDPOINT
+            elif upper_band:
+                pattern = _CHILD_GRID if cell in split else _TRIPLES[next(digits)]
+            else:
+                pattern = (_TRIPLES if cell in split else _AXIS_PAIRS)[next(digits)]
+            y = 6 * sy
+            pairs.extend((x + dx, y + dy) for dx, dy in pattern)
+            cell += 1
+    # Over the common denominator q, integer order is point order, so the
+    # sorted pairs give Codebook.of's sorted, distinct points without
+    # comparing Fractions.
     pairs.sort()
-    q = 2 * 3 ** (spec.level + 1)
-    return Codebook.of(Point(Fraction(a, q), Fraction(b, q)) for a, b in pairs)
+    for a, b in zip(pairs, pairs[1:]):
+        if a == b:
+            raise ValueError(f"duplicate codeword numerators {a}")
+    q = 2 * 3 ** (ell + 1)
+    coord = {a: Fraction(a, q) for a in (6 * v + d for v in row for d in (1, 3, 5))}
+    return Codebook(tuple(Point(coord[a], coord[b]) for a, b in pairs))
 
 
 def optimal_codebook(n: int, variant: int | VariantSpec = 0) -> Codebook:

@@ -7,8 +7,6 @@ variant) triple always renders byte-identical output on any platform.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .optimal import lattice_row, optimal_codebook
 
 MARGIN = 20
@@ -20,21 +18,15 @@ DOT_STYLE = 'fill="#b2182b"'
 DOT_RADIUS = "5"
 
 
-def _fmt(value: Fraction) -> str:
-    """Fixed three-decimal rendering, exact rational in, stable text out."""
-    milli = round(value * 1000)
+def _fixed3(num: int, den: int) -> str:
+    """num/den (den > 0) rounded half-to-even to three decimals, as
+    round(Fraction) rounds, in fixed-point text."""
+    milli, rest = divmod(1000 * num, den)
+    if 2 * rest > den or (2 * rest == den and milli % 2):
+        milli += 1
     sign = "-" if milli < 0 else ""
     whole, frac = divmod(abs(milli), 1000)
     return f"{sign}{whole}.{frac:03d}"
-
-
-def _to_canvas_x(x: Fraction) -> Fraction:
-    return MARGIN + x * BOARD
-
-
-def _to_canvas_y(y: Fraction) -> Fraction:
-    # SVG grows downward; the measure's y axis grows upward.
-    return MARGIN + (1 - y) * BOARD
 
 
 def render_svg(n: int, depth: int, variant: int = 0) -> str:
@@ -54,22 +46,32 @@ def render_svg(n: int, depth: int, variant: int = 0) -> str:
     ]
     # The cell U_s[0,1] x U_t[0,1] is [X, X+1] x [Y, Y+1] * 3^-depth, so
     # every rect uses one of 2^depth left edges, one of 2^depth top edges
-    # and the one side length.
-    side = Fraction(1, 3**depth)
+    # and the one side length.  A canvas point is (MARGIN + x * BOARD,
+    # MARGIN + (1 - y) * BOARD): SVG grows downward, the measure's y
+    # axis upward.
+    side = 3**depth
     lattice = lattice_row(depth)
-    lefts = [_fmt(_to_canvas_x(v * side)) for v in lattice]
-    tops = [_fmt(_to_canvas_y((v + 1) * side)) for v in lattice]
-    size = _fmt(side * BOARD)
+    lefts = [_fixed3(MARGIN * side + BOARD * v, side) for v in lattice]
+    tops = [_fixed3(MARGIN * side + BOARD * (side - v - 1), side) for v in lattice]
+    size = _fixed3(BOARD, side)
     for x in lefts:
         for y in tops:
             lines.append(
                 f'  <rect x="{x}" y="{y}" width="{size}" height="{size}" {CELL_STYLE}/>'
             )
+    # An optimal codebook has at most 3 * 2^ell distinct coordinates per
+    # axis, so each is formatted once.
+    xs: dict[tuple[int, int], str] = {}
+    ys: dict[tuple[int, int], str] = {}
     for p in book:
-        cx = _to_canvas_x(p.x)
-        cy = _to_canvas_y(p.y)
+        x = p.x.numerator, p.x.denominator
+        y = p.y.numerator, p.y.denominator
+        if x not in xs:
+            xs[x] = _fixed3(MARGIN * x[1] + BOARD * x[0], x[1])
+        if y not in ys:
+            ys[y] = _fixed3(MARGIN * y[1] + BOARD * (y[1] - y[0]), y[1])
         lines.append(
-            f'  <circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{DOT_RADIUS}" {DOT_STYLE}/>'
+            f'  <circle cx="{xs[x]}" cy="{ys[y]}" r="{DOT_RADIUS}" {DOT_STYLE}/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,10 +1,13 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,9 +21,8 @@ from cantorquant.plot import (
     CELL_STYLE,
     DOT_RADIUS,
     DOT_STYLE,
-    _fmt,
-    _to_canvas_x,
-    _to_canvas_y,
+    MARGIN,
+    _fixed3,
     render_svg,
 )
 
@@ -215,6 +217,26 @@ class TestPlot:
         assert path.read_text().startswith("<svg")
 
 
+# The Fraction renderer: canvas coordinates as exact rationals, each
+# rounded by round(Fraction).  Kept as the reference for plot._fixed3.
+
+def _fmt(value: Fraction) -> str:
+    """Fixed three-decimal rendering, exact rational in, stable text out."""
+    milli = round(value * 1000)
+    sign = "-" if milli < 0 else ""
+    whole, frac = divmod(abs(milli), 1000)
+    return f"{sign}{whole}.{frac:03d}"
+
+
+def _to_canvas_x(x: Fraction) -> Fraction:
+    return MARGIN + x * BOARD
+
+
+def _to_canvas_y(y: Fraction) -> Fraction:
+    # SVG grows downward; the measure's y axis grows upward.
+    return MARGIN + (1 - y) * BOARD
+
+
 def reference_svg(n, depth, variant=0):
     """The renderer before lattice edges: one cell_interval pair per rect."""
     lines = [
@@ -244,6 +266,55 @@ class TestRenderMatchesReference:
     ])
     def test_byte_identical(self, n, depth):
         assert render_svg(n, depth) == reference_svg(n, depth)
+
+
+class TestFixedPointRounding:
+    @pytest.mark.parametrize("milli_halves", [1, 3, 5, -1, -3, -5, 2001, -2001])
+    def test_exact_ties_round_to_even(self, milli_halves):
+        value = Fraction(milli_halves, 2000)
+        assert _fixed3(value.numerator, value.denominator) == _fmt(value)
+
+    @pytest.mark.parametrize("num,den,text", [
+        (1, 2000, "0.000"), (3, 2000, "0.002"), (-5, 2000, "-0.002"),
+        (-1, 3, "-0.333"), (-2, 3, "-0.667"), (-1, 1, "-1.000"), (0, 7, "0.000"),
+    ])
+    def test_known_values(self, num, den, text):
+        assert _fixed3(num, den) == text == _fmt(Fraction(num, den))
+
+    def test_unreduced_fraction(self):
+        assert _fixed3(6, 4000) == _fixed3(3, 2000) == "0.002"
+
+    def test_matches_fraction_rounding_on_random_rationals(self):
+        rng = random.Random(8)
+        for _ in range(10**4):
+            den = rng.randint(1, 10**rng.randint(1, 12))
+            num = rng.randint(-(10**13), 10**13)
+            assert _fixed3(num, den) == _fmt(Fraction(num, den)), (num, den)
+
+
+# SHA-256 of the output of the renderer and enumeration before they moved
+# to integer cell positions; any edit there must keep these bytes.
+GOLDEN_SHA256 = {
+    "optimal 5 --all":
+        "05df8f9f8e46c8fea6ba33d72ee2a86db47b8f7eac8cbaa4c072ff3339b2cf8d",
+    "optimal 2 --all --format csv":
+        "773fbd4801a6a4eebb5a1f1af9d307c3149f5a982abb0e27b7334e7a0680bce9",
+    "optimal 65 --all":
+        "fc92c4cc85bd7f250c512dc555d264326fc25f455492faec250c1e091c64d8eb",
+    "optimal 7 --variant 11":
+        "fdbd368dee26dc1aba18fcf2cc9fd539ef2f53ab2bce9d5862be7f7ab14a7ffb",
+    "plot 9 --depth 4":
+        "a67f5890d658f15e79f69a7316380456296cc26ef5dcaf0e33af05c33b7d8a39",
+    "plot 3000 --depth 5":
+        "d0c9aefa79a7dd4fa7e2b31c39b0a14c2d0fd32b255baaf2d13c686711143873",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
+def test_output_matches_golden_digest(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
 
 
 class TestUsage:

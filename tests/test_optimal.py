@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,10 @@ from cantorquant.measure import Point, cantor_point, cell_interval
 from cantorquant.optimal import (
     Codebook,
     Regime,
+    VariantSpec,
     _choice_radices,
+    _rank_combination,
+    _unrank_combination,
     lattice_row,
     codebook_for,
     count_variants,
@@ -296,3 +301,92 @@ class TestLatticeAssembly:
             assert lattice_row(depth) == [
                 cell_interval(w)[0] * 3**depth for w in words
             ]
+
+
+# The pre-recurrence ranking: one math.comb per skipped candidate.  Kept
+# as the reference for the skip-count recurrences.
+
+def reference_unrank_combination(total, size, rank):
+    out = []
+    x = 0
+    for slot in range(size):
+        while True:
+            skip = math.comb(total - x - 1, size - slot - 1)
+            if rank < skip:
+                break
+            rank -= skip
+            x += 1
+        out.append(x)
+        x += 1
+    return tuple(out)
+
+
+def reference_rank_combination(total, picked):
+    rank = 0
+    prev = -1
+    size = len(picked)
+    for slot, x in enumerate(picked):
+        for y in range(prev + 1, x):
+            rank += math.comb(total - y - 1, size - slot - 1)
+        prev = x
+    return rank
+
+
+class TestCombinationRanking:
+    def test_every_small_subset_in_lexicographic_order(self):
+        for total in range(10):
+            for size in range(total + 1):
+                subsets = itertools.combinations(range(total), size)
+                for rank, subset in enumerate(subsets):
+                    assert _unrank_combination(total, size, rank) == subset
+                    assert _rank_combination(total, subset) == rank
+                    assert reference_unrank_combination(total, size, rank) == subset
+                    assert reference_rank_combination(total, subset) == rank
+
+    def test_matches_reference_on_large_totals(self):
+        rng = random.Random(8)
+        cases = [(1100, 0, 0), (1100, 1100, 0), (1024, 1, 1023), (1024, 1023, 1022)]
+        while len(cases) < 300:
+            total = rng.randint(1, 1100)
+            size = rng.randint(0, total)
+            cases.append((total, size, rng.randrange(math.comb(total, size))))
+        for total, size, rank in cases:
+            picked = _unrank_combination(total, size, rank)
+            assert picked == reference_unrank_combination(total, size, rank)
+            assert _rank_combination(total, picked) == rank
+            assert reference_rank_combination(total, picked) == rank
+
+
+class TestMalformedSpec:
+    CELL = (BinaryWord("1"), BinaryWord("1"))
+
+    @pytest.mark.parametrize("spec", [
+        # n = 3 lives at ell = 0: a depth-1 cell makes the book one point short.
+        VariantSpec(3, 0, Regime.HIGH, ((BinaryWord("1"), BinaryWord("1")),), (0,)),
+        # HIGH n = 9 at ell = 1 with a split cell whose words differ in depth.
+        VariantSpec(9, 1, Regime.HIGH, ((BinaryWord("11"), BinaryWord("1")),),
+                    (0, 0, 0, 0)),
+        VariantSpec(9, 1, Regime.HIGH, ((BinaryWord("1"), BinaryWord("")),),
+                    (0, 0, 0, 0)),
+        # A repeated cell.
+        VariantSpec(6, 1, Regime.LOW, (CELL, CELL), (0, 0)),
+        # A spec whose level or regime is not that of n.
+        VariantSpec(5, 0, Regime.LOW, ((BinaryWord(""), BinaryWord("")),), (0,)),
+        VariantSpec(5, 1, Regime.HIGH, (CELL,), (0, 0, 0, 0)),
+        # Wrong split count, choice count or choice value.
+        VariantSpec(6, 1, Regime.LOW, (CELL,), (0,)),
+        VariantSpec(5, 1, Regime.LOW, (CELL,), (0, 0)),
+        VariantSpec(5, 1, Regime.LOW, (CELL,), (2,)),
+    ], ids=["deeper-cell-at-ell-0", "uneven-words", "shallow-word", "repeated-cell",
+            "wrong-level", "wrong-regime", "split-count", "choice-count",
+            "choice-value"])
+    def test_rejected_by_assembly_and_ranking(self, spec):
+        with pytest.raises(ValueError):
+            codebook_for(spec)
+        with pytest.raises(ValueError):
+            variant_index(spec)
+
+    def test_well_formed_spec_accepted(self):
+        spec = VariantSpec(5, 1, Regime.LOW, (self.CELL,), (1,))
+        assert len(codebook_for(spec)) == 5
+        assert variant_by_index(5, variant_index(spec)) == spec
