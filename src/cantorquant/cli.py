@@ -6,8 +6,9 @@ convenience, carry ten significant digits, and are marked as approx.
 Every command is deterministic given its flags.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
-2 verification failure, 3 I/O or input-file error.  ``verify`` fails
-when no multistart run finished, since it then has no evidence.
+2 verification failure, 3 I/O or input-file error or a result too long
+to print.  ``verify`` fails when no multistart run finished, since it
+then has no evidence.
 """
 
 from __future__ import annotations
@@ -100,6 +101,22 @@ def _count_for(n: int) -> int:
     return 1 if n == 1 else count_variants(n)
 
 
+def _count_text(total: int) -> str | None:
+    """total in decimal, or None when it has more digits than the
+    interpreter turns into text (sys.get_int_max_str_digits())."""
+    try:
+        return str(total)
+    except ValueError:
+        return None
+
+
+def _count_too_long(n: int) -> str:
+    return (
+        f"n={n} has a variant count of more than "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+
+
 def _points_csv(book: Codebook, variant: int) -> list[str]:
     return [
         f"{variant},{format_rational(p.x)},{format_rational(p.y)}"
@@ -110,12 +127,15 @@ def _points_csv(book: Codebook, variant: int) -> list[str]:
 def cmd_optimal(args: argparse.Namespace) -> int:
     n = args.n
     total = _count_for(n)
+    shown = _count_text(total)
     error = quantization_error(n)
     if args.all:
         if total > ENUM_ALL_LIMIT:
             print(
-                f"refusing to enumerate {total} variants for n={n}; "
-                f"use --variant with an index below {total}",
+                f"refusing to enumerate {shown} variants for n={n}; "
+                f"use --variant with an index below {shown}"
+                if shown is not None
+                else f"refusing to enumerate the variants: {_count_too_long(n)}",
                 file=sys.stderr,
             )
             return EXIT_USAGE
@@ -124,16 +144,22 @@ def cmd_optimal(args: argparse.Namespace) -> int:
         index = args.variant if args.variant is not None else 0
         if not 0 <= index < total:
             print(
-                f"variant {index} out of range: n={n} has {total} "
-                f"variant{'s' if total != 1 else ''} (0..{total - 1})",
+                f"variant {index} out of range: n={n} has {shown} "
+                f"variant{'s' if total != 1 else ''} (0..{total - 1})"
+                if shown is not None
+                else f"variant {index} out of range: indices start at 0, and "
+                f"{_count_too_long(n)}",
                 file=sys.stderr,
             )
             return EXIT_USAGE
         indices = range(index, index + 1)
+    if args.format == "csv" and shown is None:
+        print(f"cannot print the CSV header: {_count_too_long(n)}", file=sys.stderr)
+        return EXIT_IO
     books = [(i, optimal_codebook(n, i)) for i in indices]
     if args.format == "csv":
         lines = [
-            f"# n={n} count={total} error={format_rational(error)} "
+            f"# n={n} count={shown} error={format_rational(error)} "
             f"approx={approx_str(error)}",
             "variant,x,y",
         ]
@@ -213,13 +239,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
+    total = _count_for(n)
+    shown = _count_text(total)
+    if shown is None:
+        print(f"cannot print the count: {_count_too_long(n)}", file=sys.stderr)
+        return EXIT_IO
     target = quantization_error(n)
     print(f"n = {n}")
     print(f"closed-form error = {format_rational(target)} = {approx_str(target)} (approx)")
-    total = _count_for(n)
     checked = spread_indices(total, args.max_variants)
     sampled = " (evenly sampled)" if len(checked) < total else ""
-    print(f"variants = {total}, checking {len(checked)}{sampled}")
+    print(f"variants = {shown}, checking {len(checked)}{sampled}")
     failed_variants = 0
     for i in checked:
         book = optimal_codebook(n, i)
@@ -251,7 +281,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    print(count_variants(args.n))
+    shown = _count_text(count_variants(args.n))
+    if shown is None:
+        print(f"cannot print the count: {_count_too_long(args.n)}", file=sys.stderr)
+        return EXIT_IO
+    print(shown)
     return EXIT_OK
 
 

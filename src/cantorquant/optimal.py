@@ -2,34 +2,30 @@
 
 For n >= 2 write ell for the unique exponent with 4^ell <= n < 4^(ell+1).
 Optimal n-point codebooks are assembled on the 4^ell product cells of the
-binary refinement at depth ell, in three regimes:
+binary refinement at depth ell.  Every cell holds a local optimal set of
+m points, except a set I of k "split" cells, which hold m + 1:
 
-* POWER (n = 4^ell): every cell holds its midpoint; the codebook is
-  unique and the error is (1/4) * 9^-ell.
-* LOW (4^ell < n <= 2*4^ell): a set I of n - 4^ell cells is "split" into
-  a two-point set along one axis (each split cell chooses the x or y
-  pair); the rest keep their midpoint.  Error:
-  (1/4) * 36^-ell * (2*4^ell - n + (5/9)(n - 4^ell)).
-* HIGH (2*4^ell < n < 4^(ell+1)): in the lower band n <= 3*4^ell, a set
-  I of n - 2*4^ell cells holds a three-point set (4 choices each) and
-  the rest hold two-point axis pairs (2 choices each).  In the upper
-  band n > 3*4^ell there are more split cells than cells, so the
-  construction rolls over: a set I of n - 3*4^ell cells holds the full
-  four-point child grid (unique) and the rest hold three-point sets
-  (4 choices each).  Both bands share the error
-  36^-(ell+1) * (9*4^ell - 2n), because the per-cell errors of the 2-,
-  3- and 4-point local sets are in arithmetic progression, and the
-  counts agree where the bands meet (n = 3*4^ell) and where the upper
-  band runs into the next power (n = 4^(ell+1) gives one codebook).
+    m = max(1, ceil(n / 4^ell) - 1),    k = n - m * 4^ell.
 
-Admitting ell = 0 (the single empty cell) makes n = 2 and n = 3 ordinary
-instances of the LOW and HIGH constructions instead of special cases.
-n = 1 stays outside the machinery: its codebook is the mean and its
-error the total variance 1/4.
+The local optimal sets of p = 1, 2, 3 and 4 points are the midpoint, one
+of 2 axis pairs, one of 4 three-point sets and the 2x2 child grid, with
+errors e(p) = 1/4, 5/36, 1/12 and 1/36 at unit scale.  A depth-ell cell
+has mass 4^-ell and scale 3^-ell, so with r(p) patterns of p points:
 
-Variants are indexed deterministically: subsets I in lexicographic order
-of their sorted cell addresses, then choice vectors in numeric order.
-The index <-> VariantSpec mapping is part of the public contract.
+    error = ((4^ell - k) * e(m) + k * e(m+1)) / 36^ell,
+    count = C(4^ell, k) * r(m+1)^k * r(m)^(4^ell - k).
+
+In the regimes of level(): POWER (n = 4^ell) has m = 1 and k = 0, so the
+codebook is unique; LOW (n <= 2*4^ell) has m = 1; HIGH has m = 2 up to
+n = 3*4^ell and m = 3 above it.  Admitting ell = 0 (the single empty
+cell) makes n = 2 and n = 3 ordinary instances.  n = 1 stays outside the
+table: its codebook is the mean and its error the total variance 1/4.
+
+A cell carries a choice iff it has more than one pattern.  Variants are
+indexed deterministically: subsets I in lexicographic order of their
+sorted cell addresses, then the choices of the choice-carrying cells,
+in address order, as one mixed-radix number.  The index <-> VariantSpec
+mapping is part of the public contract.
 
 Internally a depth-ell cell (s, t) is its position rank(s) * 2^ell +
 rank(t), where rank reads a word as binary with 1 -> 0 and 2 -> 1; that
@@ -67,9 +63,7 @@ def level(n: int) -> tuple[int, Regime]:
     """Classify n >= 2 into (ell, regime); the regimes partition n >= 2."""
     if n < 2:
         raise ValueError(f"level requires n >= 2, got {n}")
-    ell = 0
-    while 4 ** (ell + 1) <= n:
-        ell += 1
+    ell = (n.bit_length() - 1) // 2
     if n == 4**ell:
         return ell, Regime.POWER
     if n <= 2 * 4**ell:
@@ -77,19 +71,53 @@ def level(n: int) -> tuple[int, Regime]:
     return ell, Regime.HIGH
 
 
+# ============================================================
+# Point patterns per cell
+# ============================================================
+# A depth-ell cell U_s[0,1] is the lattice interval [X, X+1] * 3^-ell
+# with X = s.lattice.  Over Q = 2 * 3^(ell+1) its left child's midpoint,
+# its own midpoint and its right child's midpoint have the numerators
+# 6X+1, 6X+3 and 6X+5, so each pattern below lists (dx, dy) offsets from
+# (6X, 6Y).
+
+_MIDPOINT = ((3, 3),)
+# Choice 0 splits along x, choice 1 along y.
+_AXIS_PAIRS = (((1, 3), (5, 3)), ((3, 1), (3, 5)))
+# The four three-point patterns: one child column/row pair plus the
+# opposite half's midpoint, in the documented choice order.
+_TRIPLES = (
+    ((1, 3), (5, 1), (5, 5)),
+    ((1, 1), (1, 5), (5, 3)),
+    ((1, 1), (5, 1), (3, 5)),
+    ((3, 1), (1, 5), (5, 5)),
+)
+_CHILD_GRID = ((1, 1), (1, 5), (5, 1), (5, 5))
+
+# The local optimal sets of a cell, keyed by how many points it holds,
+# and their errors at unit scale.
+_PATTERNS = {1: (_MIDPOINT,), 2: _AXIS_PAIRS, 3: _TRIPLES, 4: (_CHILD_GRID,)}
+_CELL_ERROR = {1: Fraction(1, 4), 2: Fraction(5, 36), 3: Fraction(1, 12),
+               4: Fraction(1, 36)}
+
+
+def _cell_counts(n: int) -> tuple[int, int, int]:
+    """(ell, m, k) for n >= 2: of the 4^ell cells of depth ell, k are
+    split and hold m + 1 points, and the rest hold m."""
+    ell, _ = level(n)
+    cells = 4**ell
+    m = max(1, (n - 1) // cells)
+    return ell, m, n - m * cells
+
+
 def quantization_error(n: int) -> Fraction:
     """The exact n-point quantization error of the measure."""
     if n < 1:
         raise ValueError(f"quantization_error requires n >= 1, got {n}")
     if n == 1:
-        return Fraction(1, 4)
-    ell, regime = level(n)
-    if regime is Regime.POWER:
-        return Fraction(1, 4) * Fraction(1, 9**ell)
-    if regime is Regime.LOW:
-        inner = 2 * 4**ell - n + Fraction(5, 9) * (n - 4**ell)
-        return Fraction(1, 4) * Fraction(1, 36**ell) * inner
-    return Fraction(1, 36 ** (ell + 1)) * (9 * 4**ell - 2 * n)
+        return _CELL_ERROR[1]
+    ell, m, k = _cell_counts(n)
+    cells = 4**ell
+    return ((cells - k) * _CELL_ERROR[m] + k * _CELL_ERROR[m + 1]) / 36**ell
 
 
 def _words(ell: int) -> list[BinaryWord]:
@@ -107,12 +135,14 @@ class VariantSpec:
     """One member of the optimal family for a given n.
 
     ``split_cells`` is the set I as a sorted tuple of cell addresses:
-    the cells holding one point more than the rest.  ``choices`` aligns
-    with the cells that carry a choice, in address order.  LOW: the
-    split cells, each in {0,1} (x-pair or y-pair).  HIGH, lower band:
-    every cell, {0,1,2,3} if split else {0,1}.  HIGH, upper band: the
-    non-split cells only, each in {0,1,2,3}; split cells hold the full
-    child grid, which is unique.  POWER variants carry no choices.
+    the k cells holding m + 1 points, where every other cell holds m.
+    A cell carries a choice iff it has more than one pattern, and
+    ``choices`` holds one pattern index per such cell, in address
+    order.  So LOW (m = 1) chooses an axis pair, in {0,1}, on each split
+    cell; HIGH with m = 2 chooses on every cell, in {0,1,2,3} if split
+    (three-point set) else {0,1} (axis pair); HIGH with m = 3 chooses a
+    three-point set, in {0,1,2,3}, on each non-split cell, since the
+    child grid is unique.  POWER variants carry no choices.
     """
 
     n: int
@@ -122,30 +152,14 @@ class VariantSpec:
     choices: tuple[int, ...]
 
 
-def _split_count(n: int, ell: int, regime: Regime) -> int:
-    if regime is Regime.POWER:
-        return 0
-    if regime is Regime.LOW:
-        return n - 4**ell
-    if n <= 3 * 4**ell:
-        return n - 2 * 4**ell
-    return n - 3 * 4**ell
-
-
 def count_variants(n: int) -> int:
     """How many distinct optimal codebooks the construction yields."""
     if n < 2:
         raise ValueError(f"count_variants requires n >= 2, got {n}")
-    ell, regime = level(n)
+    ell, m, k = _cell_counts(n)
     cells = 4**ell
-    k = _split_count(n, ell, regime)
-    if regime is Regime.POWER:
-        return 1
-    if regime is Regime.LOW:
-        return 2**k * math.comb(cells, k)
-    if n <= 3 * cells:
-        return 2 ** (3 * cells - n) * 4**k * math.comb(cells, k)
-    return 4 ** (4 * cells - n) * math.comb(cells, k)
+    rest, more = len(_PATTERNS[m]), len(_PATTERNS[m + 1])
+    return math.comb(cells, k) * more**k * rest ** (cells - k)
 
 
 def _unrank_combination(total: int, size: int, rank: int) -> tuple[int, ...]:
@@ -198,22 +212,12 @@ def _rank_combination(total: int, picked: tuple[int, ...]) -> int:
     return rank
 
 
-def _choice_radices(
-    n: int,
-    regime: Regime,
-    cells: tuple[CellAddress, ...],
-    split: frozenset[CellAddress],
-) -> tuple[tuple[CellAddress, ...], tuple[int, ...]]:
-    """The cells that carry a choice, with each cell's number of options."""
-    if regime is Regime.LOW:
-        chosen = tuple(c for c in cells if c in split)
-        return chosen, tuple(2 for _ in chosen)
-    if regime is Regime.HIGH:
-        if n <= 3 * len(cells):
-            return cells, tuple(4 if c in split else 2 for c in cells)
-        chosen = tuple(c for c in cells if c not in split)
-        return chosen, tuple(4 for _ in chosen)
-    return (), ()
+def _radices(m: int, cells: int, split: frozenset[int]) -> list[int]:
+    """The pattern counts of the cells that carry a choice, in position
+    order.  A split cell holds m + 1 points and any other cell m; a cell
+    carries a choice iff its point count has more than one pattern."""
+    rest, more = len(_PATTERNS[m]), len(_PATTERNS[m + 1])
+    return [r for p in range(cells) if (r := more if p in split else rest) > 1]
 
 
 # A word's rank reads it as binary with 1 -> 0 and 2 -> 1.
@@ -245,23 +249,24 @@ def _split_positions(spec: VariantSpec) -> frozenset[int]:
     return frozenset(positions)
 
 
-def _checked(spec: VariantSpec) -> tuple[frozenset[int], tuple[int, ...]]:
-    """The split positions and choice radices of a spec, after checking
-    that it describes an n-point variant; raises ValueError if not."""
+def _checked(spec: VariantSpec) -> tuple[int, frozenset[int], list[int]]:
+    """m, the split positions and the choice radices of a spec, after
+    checking that it describes an n-point variant; raises ValueError if not."""
     if level(spec.n) != (spec.level, spec.regime):
         raise ValueError(
             f"n={spec.n} is not in regime {spec.regime.value} at level {spec.level}"
         )
+    _, m, k = _cell_counts(spec.n)
     split = _split_positions(spec)
-    if len(split) != _split_count(spec.n, spec.level, spec.regime):
+    if len(split) != k:
         raise ValueError("split-cell count does not match the regime")
-    _, radices = _choice_radices(spec.n, spec.regime, range(4**spec.level), split)
+    radices = _radices(m, 4**spec.level, split)
     if len(spec.choices) != len(radices):
         raise ValueError("choice vector length does not match the regime")
     for digit, radix in zip(spec.choices, radices):
         if not 0 <= digit < radix:
             raise ValueError(f"choice {digit} out of range for arity {radix}")
-    return split, radices
+    return m, split, radices
 
 
 def variant_by_index(n: int, index: int) -> VariantSpec:
@@ -269,24 +274,21 @@ def variant_by_index(n: int, index: int) -> VariantSpec:
     total = count_variants(n)
     if not 0 <= index < total:
         raise ValueError(f"variant index {index} out of range [0, {total}) for n={n}")
-    ell, regime = level(n)
+    ell, m, k = _cell_counts(n)
     cells = 4**ell
-    k = _split_count(n, ell, regime)
-    if regime is Regime.POWER:
-        return VariantSpec(n, ell, regime, (), ())
     per_subset = total // math.comb(cells, k)
     subset_rank, choice_code = divmod(index, per_subset)
     picked = _unrank_combination(cells, k, subset_rank)
-    _, radices = _choice_radices(n, regime, range(cells), frozenset(picked))
+    radices = _radices(m, cells, frozenset(picked))
     digits = [0] * len(radices)
     for pos in range(len(radices) - 1, -1, -1):
         choice_code, digits[pos] = divmod(choice_code, radices[pos])
-    return VariantSpec(n, ell, regime, _cell_words(ell, picked), tuple(digits))
+    return VariantSpec(n, ell, level(n)[1], _cell_words(ell, picked), tuple(digits))
 
 
 def variant_index(spec: VariantSpec) -> int:
     """Inverse of variant_by_index; raises ValueError on a malformed spec."""
-    split, radices = _checked(spec)
+    _, split, radices = _checked(spec)
     subset_rank = _rank_combination(4**spec.level, tuple(sorted(split)))
     code = 0
     for digit, radix in zip(spec.choices, radices):
@@ -308,46 +310,6 @@ def spread_indices(total: int, cap: int) -> tuple[int, ...]:
         return (0,)
     picked = {(i * (total - 1)) // (cap - 1) for i in range(cap)}
     return tuple(sorted(picked))
-
-
-def enumerate_variants(n: int) -> Iterator[VariantSpec]:
-    """All variants in index order: subsets lexicographic, then choices numeric."""
-    if n < 2:
-        raise ValueError(f"enumerate_variants requires n >= 2, got {n}")
-    ell, regime = level(n)
-    cells = range(4**ell)
-    k = _split_count(n, ell, regime)
-    if regime is Regime.POWER:
-        yield VariantSpec(n, ell, regime, (), ())
-        return
-    for picked in itertools.combinations(cells, k):
-        split = _cell_words(ell, picked)
-        _, radices = _choice_radices(n, regime, cells, frozenset(picked))
-        for digits in itertools.product(*(range(r) for r in radices)):
-            yield VariantSpec(n, ell, regime, split, digits)
-
-
-# ============================================================
-# Point patterns per cell
-# ============================================================
-# A depth-ell cell U_s[0,1] is the lattice interval [X, X+1] * 3^-ell
-# with X = s.lattice.  Over Q = 2 * 3^(ell+1) its left child's midpoint,
-# its own midpoint and its right child's midpoint have the numerators
-# 6X+1, 6X+3 and 6X+5, so each pattern below lists (dx, dy) offsets from
-# (6X, 6Y).
-
-_MIDPOINT = ((3, 3),)
-# Choice 0 splits along x, choice 1 along y.
-_AXIS_PAIRS = (((1, 3), (5, 3)), ((3, 1), (3, 5)))
-# The four three-point patterns: one child column/row pair plus the
-# opposite half's midpoint, in the documented choice order.
-_TRIPLES = (
-    ((1, 3), (5, 1), (5, 5)),
-    ((1, 1), (1, 5), (5, 3)),
-    ((1, 1), (5, 1), (3, 5)),
-    ((3, 1), (1, 5), (5, 5)),
-)
-_CHILD_GRID = ((1, 1), (1, 5), (5, 1), (5, 5))
 
 
 def lattice_row(ell: int) -> list[int]:
@@ -408,25 +370,20 @@ class Codebook:
 def codebook_for(spec: VariantSpec) -> Codebook:
     """Assemble the codebook of a variant spec; raises ValueError on a
     malformed spec."""
-    split, _ = _checked(spec)
+    m, split, _ = _checked(spec)
     ell = spec.level
     row = lattice_row(ell)
-    upper_band = spec.regime is Regime.HIGH and spec.n > 3 * 4**ell
-    # The cells that carry a choice take spec.choices in position order.
+    # Other cells hold m points and split cells m + 1; the cells with more
+    # than one pattern take spec.choices in position order.
+    table = (_PATTERNS[m], _PATTERNS[m + 1])
     digits = iter(spec.choices)
     pairs: list[tuple[int, int]] = []
     cell = 0
     for sx in row:
         x = 6 * sx
         for sy in row:
-            if spec.regime is Regime.POWER:
-                pattern = _MIDPOINT
-            elif spec.regime is Regime.LOW:
-                pattern = _AXIS_PAIRS[next(digits)] if cell in split else _MIDPOINT
-            elif upper_band:
-                pattern = _CHILD_GRID if cell in split else _TRIPLES[next(digits)]
-            else:
-                pattern = (_TRIPLES if cell in split else _AXIS_PAIRS)[next(digits)]
+            patterns = table[cell in split]
+            pattern = patterns[next(digits)] if len(patterns) > 1 else patterns[0]
             y = 6 * sy
             pairs.extend((x + dx, y + dy) for dx, dy in pattern)
             cell += 1

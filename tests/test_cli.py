@@ -197,6 +197,22 @@ class TestVerify:
         assert out.rstrip().endswith("RESULT: FAIL (no multistart run finished)")
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    (["count", "20000"], 3, "cannot print the count: "),
+    (["optimal", "20000", "--all"], 1, "refusing to enumerate the variants: "),
+    (["optimal", "20000", "--variant", "-1"], 1,
+     "variant -1 out of range: indices start at 0, and "),
+    (["optimal", "20000", "--format", "csv"], 3, "cannot print the CSV header: "),
+    (["verify", "20000", "--seeds", "1"], 3, "cannot print the count: "),
+], ids=["count", "optimal-all", "optimal-negative-variant", "optimal-csv", "verify"])
+def test_variant_count_too_long_to_print(capsys, argv, code, message):
+    # count_variants(20000) has 4842 digits, past the default limit of 4300.
+    rc, out, err = run(capsys, *argv)
+    assert rc == code
+    assert out == ""
+    assert err == message + "n=20000 has a variant count of more than 4300 digits\n"
+
+
 class TestPlot:
     def test_cell_and_point_counts(self, capsys):
         rc, out, _ = run(capsys, "plot", "4", "--depth", "3")

@@ -14,13 +14,11 @@ from cantorquant.optimal import (
     Codebook,
     Regime,
     VariantSpec,
-    _choice_radices,
     _rank_combination,
     _unrank_combination,
     lattice_row,
     codebook_for,
     count_variants,
-    enumerate_variants,
     grid_cells,
     level,
     optimal_codebook,
@@ -117,11 +115,6 @@ class TestVariantEnumeration:
             assert len(book) == n
             seen.add(tuple((p.x, p.y) for p in book))
         assert len(seen) == total
-
-    def test_enumerate_matches_unranking(self):
-        for n in (5, 9, 13):
-            listed = list(enumerate_variants(n))
-            assert listed == [variant_by_index(n, i) for i in range(len(listed))]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -251,10 +244,26 @@ def reference_child_grid(cell):
             for a in (1, 2) for b in (1, 2)]
 
 
+def reference_choice_radices(n, regime, cells, split):
+    """The cells that carry a choice, with each one's number of options,
+    by regime and band: LOW the split cells (2 each); HIGH up to
+    n = 3*4^ell every cell (4 if split, else 2); HIGH above it the cells
+    that are not split (4 each); POWER none."""
+    if regime is Regime.LOW:
+        chosen = tuple(c for c in cells if c in split)
+        return chosen, tuple(2 for _ in chosen)
+    if regime is Regime.HIGH and n <= 3 * len(cells):
+        return cells, tuple(4 if c in split else 2 for c in cells)
+    if regime is Regime.HIGH:
+        chosen = tuple(c for c in cells if c not in split)
+        return chosen, tuple(4 for _ in chosen)
+    return (), ()
+
+
 def reference_codebook(spec):
     cells = grid_cells(spec.level)
     split = frozenset(spec.split_cells)
-    chosen, _ = _choice_radices(spec.n, spec.regime, cells, split)
+    chosen, _ = reference_choice_radices(spec.n, spec.regime, cells, split)
     choice_of = dict(zip(chosen, spec.choices))
     upper_band = spec.regime is Regime.HIGH and spec.n > 3 * len(cells)
     points = []
@@ -390,3 +399,82 @@ class TestMalformedSpec:
         spec = VariantSpec(5, 1, Regime.LOW, (self.CELL,), (1,))
         assert len(codebook_for(spec)) == 5
         assert variant_by_index(5, variant_index(spec)) == spec
+
+
+# The pre-table formulas: one branch per regime and band.  Kept as the
+# reference for the per-cell pattern table.
+
+def reference_split_count(n, ell, regime):
+    if regime is Regime.POWER:
+        return 0
+    if regime is Regime.LOW:
+        return n - 4**ell
+    if n <= 3 * 4**ell:
+        return n - 2 * 4**ell
+    return n - 3 * 4**ell
+
+
+def reference_quantization_error(n):
+    if n == 1:
+        return Fraction(1, 4)
+    ell, regime = level(n)
+    if regime is Regime.POWER:
+        return Fraction(1, 4) * Fraction(1, 9**ell)
+    if regime is Regime.LOW:
+        inner = 2 * 4**ell - n + Fraction(5, 9) * (n - 4**ell)
+        return Fraction(1, 4) * Fraction(1, 36**ell) * inner
+    return Fraction(1, 36 ** (ell + 1)) * (9 * 4**ell - 2 * n)
+
+
+def reference_count_variants(n):
+    ell, regime = level(n)
+    cells = 4**ell
+    k = reference_split_count(n, ell, regime)
+    if regime is Regime.POWER:
+        return 1
+    if regime is Regime.LOW:
+        return 2**k * math.comb(cells, k)
+    if n <= 3 * cells:
+        return 2 ** (3 * cells - n) * 4**k * math.comb(cells, k)
+    return 4 ** (4 * cells - n) * math.comb(cells, k)
+
+
+def reference_variant_by_index(n, index):
+    ell, regime = level(n)
+    cells = grid_cells(ell)
+    k = reference_split_count(n, ell, regime)
+    per_subset = reference_count_variants(n) // math.comb(len(cells), k)
+    subset_rank, code = divmod(index, per_subset)
+    picked = reference_unrank_combination(len(cells), k, subset_rank)
+    split = tuple(cells[p] for p in picked)
+    _, radices = reference_choice_radices(n, regime, cells, frozenset(split))
+    digits = []
+    for radix in reversed(radices):
+        code, digit = divmod(code, radix)
+        digits.append(digit)
+    return VariantSpec(n, ell, regime, split, tuple(reversed(digits)))
+
+
+def around_powers(max_ell):
+    """n at and around the regime and band boundaries of every level."""
+    for ell in range(max_ell + 1):
+        c = 4**ell
+        yield from (n for n in (c - 1, c, c + 1, 2 * c, 2 * c + 1, 3 * c, 3 * c + 1)
+                    if n >= 2)
+
+
+class TestPatternTableMatchesRegimeFormulas:
+    def test_error_and_count_for_every_small_n(self):
+        for n in range(2, 4**6 + 1):
+            assert quantization_error(n) == reference_quantization_error(n), n
+            assert count_variants(n) == reference_count_variants(n), n
+
+    def test_error_and_count_around_powers(self):
+        for n in around_powers(8):
+            assert quantization_error(n) == reference_quantization_error(n), n
+            assert count_variants(n) == reference_count_variants(n), n
+
+    def test_same_variant_specs(self):
+        for n in range(2, 301):
+            for i in spread_indices(count_variants(n), 4):
+                assert variant_by_index(n, i) == reference_variant_by_index(n, i), (n, i)
