@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .engine import (
     DEFAULT_MAX_DEPTH,
+    ResolutionError,
     RunStatus,
     exact_distortion,
     lloyd_step,
@@ -70,13 +71,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _at_least_two(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2, got {text}")
-    return value
-
-
 def _parse_tolerance(text: str) -> Fraction:
     tol = parse_rational(text)
     if tol <= 0:
@@ -97,15 +91,11 @@ def _emit(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
-def _count_for(n: int) -> int:
-    return 1 if n == 1 else count_variants(n)
-
-
-def _count_text(total: int) -> str | None:
-    """total in decimal, or None when it has more digits than the
+def _text(value: int | Fraction) -> str | None:
+    """value as exact text, or None when it has more digits than the
     interpreter turns into text (sys.get_int_max_str_digits())."""
     try:
-        return str(total)
+        return format_rational(value)
     except ValueError:
         return None
 
@@ -113,6 +103,13 @@ def _count_text(total: int) -> str | None:
 def _count_too_long(n: int) -> str:
     return (
         f"n={n} has a variant count of more than "
+        f"{sys.get_int_max_str_digits()} digits"
+    )
+
+
+def _error_too_long(n: int) -> str:
+    return (
+        f"n={n} has an error denominator of more than "
         f"{sys.get_int_max_str_digits()} digits"
     )
 
@@ -126,8 +123,8 @@ def _points_csv(book: Codebook, variant: int) -> list[str]:
 
 def cmd_optimal(args: argparse.Namespace) -> int:
     n = args.n
-    total = _count_for(n)
-    shown = _count_text(total)
+    total = count_variants(n)
+    shown = _text(total)
     error = quantization_error(n)
     if args.all:
         if total > ENUM_ALL_LIMIT:
@@ -191,7 +188,11 @@ def cmd_optimal(args: argparse.Namespace) -> int:
 
 def cmd_error(args: argparse.Namespace) -> int:
     value = quantization_error(args.n)
-    print(f"{format_rational(value)} = {approx_str(value)} (approx)")
+    shown = _text(value)
+    if shown is None:
+        print(f"cannot print the error: {_error_too_long(args.n)}", file=sys.stderr)
+        return EXIT_IO
+    print(f"{shown} = {approx_str(value)} (approx)")
     return EXIT_OK
 
 
@@ -239,23 +240,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
-    total = _count_for(n)
-    shown = _count_text(total)
+    total = count_variants(n)
+    shown = _text(total)
     if shown is None:
         print(f"cannot print the count: {_count_too_long(n)}", file=sys.stderr)
         return EXIT_IO
     target = quantization_error(n)
+    target_text = _text(target)
+    if target_text is None:
+        print(f"cannot print the error: {_error_too_long(n)}", file=sys.stderr)
+        return EXIT_IO
     print(f"n = {n}")
-    print(f"closed-form error = {format_rational(target)} = {approx_str(target)} (approx)")
+    print(f"closed-form error = {target_text} = {approx_str(target)} (approx)")
     checked = spread_indices(total, args.max_variants)
     sampled = " (evenly sampled)" if len(checked) < total else ""
     print(f"variants = {shown}, checking {len(checked)}{sampled}")
     failed_variants = 0
     for i in checked:
         book = optimal_codebook(n, i)
-        ok = lloyd_step(book, args.depth) == book
+        try:
+            ok, why = lloyd_step(book, args.depth) == book, ""
+        except ResolutionError:
+            ok, why = False, f" (unresolved at depth {args.depth})"
         failed_variants += 0 if ok else 1
-        print(f"variant {i}: fixed point {'PASS' if ok else 'FAIL'}")
+        print(f"variant {i}: fixed point {'PASS' if ok else 'FAIL'}{why}")
     result = multistart_search(n, args.seeds, args.rng_seed, args.depth)
     print(f"multistart: seeds={args.seeds} rng_seed={args.rng_seed} depth={args.depth}")
     tally = result.tally()
@@ -281,7 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    shown = _count_text(count_variants(args.n))
+    shown = _text(count_variants(args.n))
     if shown is None:
         print(f"cannot print the count: {_count_too_long(args.n)}", file=sys.stderr)
         return EXIT_IO
@@ -337,7 +345,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-variants", type=_positive_int, default=100)
 
     p = sub.add_parser("count", help="number of optimal codebooks")
-    p.add_argument("n", type=_at_least_two)
+    p.add_argument("n", type=_positive_int)
 
     p = sub.add_parser("plot", help="render support cells and codebook as SVG")
     p.add_argument("n", type=_positive_int)

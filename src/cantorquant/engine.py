@@ -34,10 +34,8 @@ from .optimal import Codebook
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 40
-# Iteration cap of lloyd, and the depth retries of multistart_search.
+# Iteration cap of lloyd.
 _MAX_ITERS = 50
-_DEPTH_STEP = 4
-_DEPTH_SPAN = 12
 
 UNRESOLVED = None
 
@@ -405,7 +403,6 @@ class RunRecord:
 
     index: int
     status: RunStatus
-    depth: int
     iterations: int
     codebook: Codebook | None
     interval: CertifiedInterval | None
@@ -438,12 +435,14 @@ def multistart_search(n: int, seeds: int, rng_seed: int, depth: int) -> Multista
     """Lloyd iteration from uniform random starts, deterministic stream.
 
     All runs draw from one generator in run order, 2n draws per run, so
-    run r's start depends only on (n, rng_seed, r).  A run that hits a
-    resolution failure restarts from its initial points with the depth
-    raised by 4, up to depth + 12, then gives up; a bisector through the
-    support dust does not get better with depth, so most random starts
-    for small n are expected to give up.  Failed runs are recorded and
-    counted, never silently dropped.
+    run r's start depends only on (n, rng_seed, r).  Each run is one
+    lloyd call at the given depth, with no retry at a deeper one: for
+    1/3 <= lambda <= 3 the sum C + lambda*C of the middle-thirds Cantor
+    set is an interval (Newhouse's gap lemma), so a bisector whose normal
+    (u_x, u_y) has |u_y / u_x| in that range meets the support in every
+    cell it crosses, at every depth.
+    Most random starts for small n are expected to fail that way.
+    Failed runs are recorded and counted, never silently dropped.
     """
     if n < 1:
         raise ValueError(f"multistart_search requires n >= 1, got {n}")
@@ -454,30 +453,14 @@ def multistart_search(n: int, seeds: int, rng_seed: int, depth: int) -> Multista
     for r in range(seeds):
         coords = [(rng.next_fraction(), rng.next_fraction()) for _ in range(n)]
         try:
-            initial = Codebook.of(Point(x, y) for x, y in coords)
+            res = lloyd(Codebook.of(Point(x, y) for x, y in coords), depth)
+        except ResolutionError:
+            runs.append(RunRecord(r, RunStatus.RESOLUTION_FAILURE, 0, None, None))
+        except EmptyRegionError:
+            runs.append(RunRecord(r, RunStatus.EMPTY_REGION, 0, None, None))
         except ValueError:
-            runs.append(RunRecord(r, RunStatus.DEGENERATE, depth, 0, None, None))
-            continue
-        record = None
-        d = depth
-        while d <= depth + _DEPTH_SPAN:
-            try:
-                res = lloyd(initial, d)
-            except ResolutionError:
-                d += _DEPTH_STEP
-                continue
-            except EmptyRegionError:
-                record = RunRecord(r, RunStatus.EMPTY_REGION, d, 0, None, None)
-                break
-            except ValueError:
-                record = RunRecord(r, RunStatus.DEGENERATE, d, 0, None, None)
-                break
+            runs.append(RunRecord(r, RunStatus.DEGENERATE, 0, None, None))
+        else:
             status = RunStatus.CONVERGED if res.converged else RunStatus.MAX_ITERS
-            record = RunRecord(r, status, d, res.iterations, res.codebook, res.interval)
-            break
-        if record is None:
-            record = RunRecord(
-                r, RunStatus.RESOLUTION_FAILURE, depth + _DEPTH_SPAN, 0, None, None
-            )
-        runs.append(record)
+            runs.append(RunRecord(r, status, res.iterations, res.codebook, res.interval))
     return MultistartResult(n, seeds, rng_seed, depth, tuple(runs))

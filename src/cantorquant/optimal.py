@@ -1,6 +1,6 @@
 """Closed-form optimal codebooks and quantization errors for every n.
 
-For n >= 2 write ell for the unique exponent with 4^ell <= n < 4^(ell+1).
+For n >= 1 write ell for the unique exponent with 4^ell <= n < 4^(ell+1).
 Optimal n-point codebooks are assembled on the 4^ell product cells of the
 binary refinement at depth ell.  Every cell holds a local optimal set of
 m points, except a set I of k "split" cells, which hold m + 1:
@@ -18,8 +18,8 @@ has mass 4^-ell and scale 3^-ell, so with r(p) patterns of p points:
 In the regimes of level(): POWER (n = 4^ell) has m = 1 and k = 0, so the
 codebook is unique; LOW (n <= 2*4^ell) has m = 1; HIGH has m = 2 up to
 n = 3*4^ell and m = 3 above it.  Admitting ell = 0 (the single empty
-cell) makes n = 2 and n = 3 ordinary instances.  n = 1 stays outside the
-table: its codebook is the mean and its error the total variance 1/4.
+cell) makes n = 1, 2 and 3 ordinary instances: n = 1 is POWER at ell = 0,
+whose codebook is the mean and whose error is the total variance 1/4.
 
 A cell carries a choice iff it has more than one pattern.  Variants are
 indexed deterministically: subsets I in lexicographic order of their
@@ -60,9 +60,9 @@ class Regime(Enum):
 
 
 def level(n: int) -> tuple[int, Regime]:
-    """Classify n >= 2 into (ell, regime); the regimes partition n >= 2."""
-    if n < 2:
-        raise ValueError(f"level requires n >= 2, got {n}")
+    """Classify n >= 1 into (ell, regime); the regimes partition n >= 1."""
+    if n < 1:
+        raise ValueError(f"level requires n >= 1, got {n}")
     ell = (n.bit_length() - 1) // 2
     if n == 4**ell:
         return ell, Regime.POWER
@@ -101,7 +101,7 @@ _CELL_ERROR = {1: Fraction(1, 4), 2: Fraction(5, 36), 3: Fraction(1, 12),
 
 
 def _cell_counts(n: int) -> tuple[int, int, int]:
-    """(ell, m, k) for n >= 2: of the 4^ell cells of depth ell, k are
+    """(ell, m, k) for n >= 1: of the 4^ell cells of depth ell, k are
     split and hold m + 1 points, and the rest hold m."""
     ell, _ = level(n)
     cells = 4**ell
@@ -111,10 +111,6 @@ def _cell_counts(n: int) -> tuple[int, int, int]:
 
 def quantization_error(n: int) -> Fraction:
     """The exact n-point quantization error of the measure."""
-    if n < 1:
-        raise ValueError(f"quantization_error requires n >= 1, got {n}")
-    if n == 1:
-        return _CELL_ERROR[1]
     ell, m, k = _cell_counts(n)
     cells = 4**ell
     return ((cells - k) * _CELL_ERROR[m] + k * _CELL_ERROR[m + 1]) / 36**ell
@@ -154,8 +150,6 @@ class VariantSpec:
 
 def count_variants(n: int) -> int:
     """How many distinct optimal codebooks the construction yields."""
-    if n < 2:
-        raise ValueError(f"count_variants requires n >= 2, got {n}")
     ell, m, k = _cell_counts(n)
     cells = 4**ell
     rest, more = len(_PATTERNS[m]), len(_PATTERNS[m + 1])
@@ -404,10 +398,4 @@ def optimal_codebook(n: int, variant: int | VariantSpec = 0) -> Codebook:
     choices 0).  n = 1 yields the mean point."""
     if isinstance(variant, VariantSpec):
         return codebook_for(variant)
-    if n < 1:
-        raise ValueError(f"optimal_codebook requires n >= 1, got {n}")
-    if n == 1:
-        if variant != 0:
-            raise ValueError("n=1 has a single variant")
-        return Codebook.of([Point(Fraction(1, 2), Fraction(1, 2))])
     return codebook_for(variant_by_index(n, variant))

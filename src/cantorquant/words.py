@@ -52,9 +52,6 @@ class NatWord:
             return cls()
         return cls(tuple(int(part) for part in text.split(".")))
 
-    def append(self, symbol: int) -> "NatWord":
-        return NatWord(self.symbols + (symbol,))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -96,12 +93,6 @@ class PairWord:
     def append(self, i: int, j: int) -> "PairWord":
         return PairWord(self.symbols + ((i, j),))
 
-    @property
-    def last(self) -> tuple[int, int]:
-        if not self.symbols:
-            raise ValueError("empty PairWord has no last symbol")
-        return self.symbols[-1]
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -129,10 +120,6 @@ class BinaryWord:
     def __post_init__(self) -> None:
         if self.symbols.strip("12"):
             raise ValueError(f"BinaryWord digits must be 1 or 2: {self.symbols!r}")
-
-    @classmethod
-    def of(cls, text: str) -> "BinaryWord":
-        return cls(text)
 
     def append(self, symbol: int) -> "BinaryWord":
         if symbol not in (1, 2):

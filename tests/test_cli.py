@@ -51,15 +51,17 @@ class TestError:
 
 
 class TestCount:
-    @pytest.mark.parametrize("n,expected", [(2, "2"), (4, "1"), (5, "8"), (6, "24")])
+    @pytest.mark.parametrize(
+        "n,expected", [(2, "2"), (4, "1"), (5, "8"), (6, "24"), (1, "1")]
+    )
     def test_known_counts(self, capsys, n, expected):
         rc, out, _ = run(capsys, "count", str(n))
         assert rc == 0
         assert out.strip() == expected
 
-    def test_rejects_one(self, capsys):
+    def test_rejects_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["count", "1"])
+            main(["count", "0"])
         assert info.value.code == 1
 
 
@@ -190,6 +192,13 @@ class TestVerify:
         assert "statuses: converged=1 " in out
         assert "best upper bound = 5/36 " in out
 
+    def test_unresolved_variant_fails(self, capsys):
+        rc, out, err = run(capsys, "verify", "5", "--depth", "1", "--seeds", "1")
+        assert rc == 2
+        assert err == ""
+        assert "variant 0: fixed point FAIL (unresolved at depth 1)\n" in out
+        assert out.rstrip().splitlines()[-1].startswith("RESULT: FAIL")
+
     def test_fails_when_no_run_finished(self, capsys):
         rc, out, _ = run(capsys, "verify", "4", "--seeds", "3", "--depth", "12")
         assert rc == 2
@@ -211,6 +220,20 @@ def test_variant_count_too_long_to_print(capsys, argv, code, message):
     assert rc == code
     assert out == ""
     assert err == message + "n=20000 has a variant count of more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("command", ["error", "verify"])
+def test_error_too_long_to_print(capsys, command):
+    # The error of n = 4^3000 + 1 has a denominator of about 36^3000, which
+    # has more than 4300 digits, while its variant count 2 * 4^3000 has 1807.
+    n = 4**3000 + 1
+    rc, out, err = run(capsys, command, str(n))
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        f"cannot print the error: n={n} has an error denominator of more "
+        f"than 4300 digits\n"
+    )
 
 
 class TestPlot:

@@ -300,6 +300,17 @@ class TestMultistart:
         assert best.interval.exact
         assert best.interval.lower == quantization_error(2)
 
+    def test_pair_search_tally(self):
+        # One lloyd call per run: the statuses are deterministic counters.
+        tally = multistart_search(2, 20, 1, 20).tally()
+        assert tally == {
+            RunStatus.CONVERGED: 3,
+            RunStatus.MAX_ITERS: 0,
+            RunStatus.RESOLUTION_FAILURE: 17,
+            RunStatus.EMPTY_REGION: 0,
+            RunStatus.DEGENERATE: 0,
+        }
+
     def test_failed_runs_are_counted_not_raised(self):
         res = multistart_search(4, 10, 1, 12)
         tally = res.tally()

@@ -47,14 +47,15 @@ class TestLevel:
         [(2, 0, Regime.LOW), (3, 0, Regime.HIGH), (4, 1, Regime.POWER),
          (5, 1, Regime.LOW), (8, 1, Regime.LOW), (9, 1, Regime.HIGH),
          (13, 1, Regime.HIGH), (15, 1, Regime.HIGH), (16, 2, Regime.POWER),
-         (17, 2, Regime.LOW), (63, 2, Regime.HIGH), (64, 3, Regime.POWER)],
+         (17, 2, Regime.LOW), (63, 2, Regime.HIGH), (64, 3, Regime.POWER),
+         (1, 0, Regime.POWER)],
     )
     def test_examples(self, n, ell, regime):
         assert level(n) == (ell, regime)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            level(1)
+            level(0)
 
 
 class TestClosedForm:
@@ -90,7 +91,7 @@ class TestCounting:
         "n,count",
         [(2, 2), (3, 4), (4, 1), (5, 8), (6, 24), (7, 32), (8, 16),
          (9, 128), (10, 384), (11, 512), (12, 256), (13, 256), (14, 96),
-         (15, 16), (16, 1), (24, 3294720), (64, 1), (256, 1)],
+         (15, 16), (16, 1), (24, 3294720), (64, 1), (256, 1), (1, 1)],
     )
     def test_examples(self, n, count):
         assert count_variants(n) == count

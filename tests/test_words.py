@@ -27,9 +27,6 @@ class TestNatWord:
         assert str(NatWord()) == ""
         assert len(NatWord()) == 0
 
-    def test_append(self):
-        assert NatWord.of(1).append(4) == NatWord.of(1, 4)
-
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):
@@ -45,7 +42,6 @@ class TestPairWord:
         w = PairWord.of((1, 2), (3, 1))
         assert str(w) == "(1,2)(3,1)"
         assert PairWord.parse("(1,2)(3,1)") == w
-        assert w.last == (3, 1)
         assert list(w) == [(1, 2), (3, 1)]
 
     def test_components(self):
@@ -58,10 +54,6 @@ class TestPairWord:
             PairWord.of((0, 1))
         with pytest.raises(ValueError):
             PairWord.parse("(1,2")
-
-    def test_last_of_empty_fails(self):
-        with pytest.raises(ValueError):
-            PairWord().last
 
 
 class TestBinaryWord:
