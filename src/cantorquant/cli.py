@@ -7,8 +7,10 @@ Every command is deterministic given its flags.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
 2 verification failure, 3 I/O or input-file error or a result too long
-to print.  ``verify`` fails when no multistart run finished, since it
-then has no evidence.
+to print.  ``verify`` fails when a checked variant is not a fixed point,
+when multistart beats the closed form, and when no multistart run
+finished, since it then has no evidence; its last line names every
+reason.
 """
 
 from __future__ import annotations
@@ -268,24 +270,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"multistart: seeds={args.seeds} rng_seed={args.rng_seed} depth={args.depth}")
     tally = result.tally()
     print("statuses: " + " ".join(f"{s.value}={tally[s]}" for s in RunStatus))
+    reasons = []
+    if failed_variants:
+        reasons.append(
+            f"{failed_variants} of {len(checked)} checked variants are not fixed points")
     best = result.best
     if best is None:
         print("best upper bound = none (no run finished)")
-        print("RESULT: FAIL (no multistart run finished)")
+        reasons.append("no multistart run finished")
+    else:
+        upper = best.interval.upper
+        flag = "exact" if best.interval.exact else "interval"
+        print(
+            f"best upper bound = {format_rational(upper)} = "
+            f"{approx_str(upper)} (approx) [{flag}, seed {best.index}]"
+        )
+        if upper < target - tol:
+            print(f"multistart found a better codebook than the closed form by "
+                  f"{format_rational(target - upper)}")
+            reasons.append("multistart beat the closed form")
+    if reasons:
+        print(f"RESULT: FAIL ({'; '.join(reasons)})")
         return EXIT_VERIFY
-    upper = best.interval.upper
-    flag = "exact" if best.interval.exact else "interval"
-    print(
-        f"best upper bound = {format_rational(upper)} = "
-        f"{approx_str(upper)} (approx) [{flag}, seed {best.index}]"
-    )
-    beaten = upper < target - tol
-    if beaten:
-        print(f"multistart found a better codebook than the closed form by "
-              f"{format_rational(target - upper)}")
-    ok = failed_variants == 0 and not beaten
-    print(f"RESULT: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    print("RESULT: PASS")
+    return EXIT_OK
 
 
 def cmd_count(args: argparse.Namespace) -> int:

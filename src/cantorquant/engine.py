@@ -5,15 +5,18 @@ integral of an arbitrary finite codebook against the product measure?
 It recurses over the square product cells, keeping for each cell the
 subset of codewords that can still own part of it.  The depth-d cells
 are lattice squares [x, x+1] x [y, y+1] * 3^-d, so the walk runs on
-integers.  A codeword is discarded when a rival is weakly closer on the
-whole cell rectangle: the closer-to-the-rival set is a closed
-half-plane, so one corner decides, the one furthest into the codeword's
-side (the single-corner test of Kanungo et al., TPAMI 2002).  A cell
-with a single survivor is owned outright and contributes a closed-form
-integral; a contested cell splits into its four children.  Contested
-cells at the depth limit contribute certified lower and upper bounds
-instead, so the result is always a correct enclosure, and it is exact
-whenever the recursion terminates.
+integers.  Each cell is filtered against z, the active codeword nearest
+its midpoint: a codeword is discarded when z is weakly closer on the
+whole cell rectangle, which one corner decides, since the closer-to-z
+set is a half-plane (the filtering algorithm of Kanungo et al., TPAMI
+2002).  That keeps the owners and bounds of testing every pair:
+domination is transitive, z is never dominated, so each extra survivor
+is dominated by one that the all-pairs test keeps.  A cell with a single
+survivor is owned outright and contributes a closed-form integral; a
+contested cell splits into its four children.  Contested cells at the
+depth limit contribute certified lower and upper bounds instead, so the
+result is always a correct enclosure, and it is exact whenever the
+recursion terminates.
 
 Everything runs in exact rational arithmetic.  Distances appear only
 squared; no roots, no rounding.
@@ -75,14 +78,22 @@ def _binary_word(v: int, depth: int) -> str:
 
 
 class _LatticeBook:
-    """A codebook scaled onto the integer lattice, with its pairwise bisectors.
+    """A codebook scaled onto the integer lattice.
 
-    D is the lcm of all coordinate denominators and P_i = D z_i.  Rival j
-    is weakly closer than codeword i at a point c exactly when
+    D is the lcm of all coordinate denominators and P_i = D z_i.  Codeword
+    j is weakly closer than codeword i at a point c exactly when
     2c.(z_i - z_j) <= |z_i|^2 - |z_j|^2.  With c = C/3^d and cleared
     denominators that reads C.u <= 3^d k for u = 2D(P_i - P_j) and
-    k = |P_i|^2 - |P_j|^2, and over the corners of a cell the left side is
-    largest at the one corner picked by the signs of u.
+    k = |P_i|^2 - |P_j|^2; j dominates i on a cell when this holds at the
+    one corner picked by the signs of u, where the left side is largest.
+
+    Filtering each cell against z alone gives the results of all pairs:
+    - domination on a cell is a strict partial order: it is transitive,
+      and two distinct codewords never dominate each other;
+    - z is never dominated: a tie at the interior midpoint cannot lie on
+      the edge of a half-plane;
+    - so each extra survivor is dominated by an all-pairs survivor, which
+      is at least as near the midpoint and the cell rectangle.
     """
 
     def __init__(self, points: Sequence[Point]):
@@ -92,42 +103,35 @@ class _LatticeBook:
             (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
             for p in points
         ]
-        # rivals[i][j] = (u_x, u_y, reach, k); reach = max over the unit
-        # square's corners (a, b) of a*u_x + b*u_y.
-        self.rivals = []
-        for xi, yi in self.coords:
-            row = []
-            for xj, yj in self.coords:
-                ux, uy = 2 * d * (xi - xj), 2 * d * (yi - yj)
-                k = xi * xi + yi * yi - xj * xj - yj * yj
-                row.append((ux, uy, max(ux, 0) + max(uy, 0), k))
-            self.rivals.append(row)
+        self.norms = [a * a + b * b for a, b in self.coords]
 
-    def survivors(self, cell: Cell, active: tuple[int, ...]) -> tuple[int, ...]:
-        """Active codewords not dominated on the cell by another active one.
+    def survivors(self, cell: Cell, active: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """z, the active codeword nearest the cell midpoint (the earliest on
+        ties), and the active codewords that z does not dominate on the cell.
 
-        Dropped codewords cannot own any point of the cell.  Two distinct
-        codewords can never dominate each other: that would put four
-        non-collinear corners on one bisector line.
+        Dropped codewords cannot own any point of the cell.
         """
-        if len(active) == 1:
-            return active
+        d, coords, norms = self.scale, self.coords, self.norms
         x, y, s = cell.x, cell.y, 3**cell.depth
+        cx, cy, s2 = (2 * x + 1) * d, (2 * y + 1) * d, 2 * s
+        z = best = None
+        for i in active:
+            a, b = coords[i]
+            gap = (cx - s2 * a) ** 2 + (cy - s2 * b) ** 2
+            if best is None or gap < best:
+                z, best = i, gap
+        xz, yz = coords[z]
         keep = []
         for i in active:
-            rivals = self.rivals[i]
-            for j in active:
-                if j != i:
-                    ux, uy, reach, k = rivals[j]
-                    if x * ux + y * uy + reach <= s * k:
-                        break
-            else:
+            xi, yi = coords[i]
+            ux, uy = 2 * d * (xi - xz), 2 * d * (yi - yz)
+            if i == z or x * ux + y * uy + max(ux, 0) + max(uy, 0) > s * (norms[i] - norms[z]):
                 keep.append(i)
-        return tuple(keep)
+        return z, tuple(keep)
 
-    def nearest_integral(self, cell: Cell, active: tuple[int, ...]) -> Fraction:
+    def nearest_integral(self, cell: Cell, z: int) -> Fraction:
         """Integral of |p - z|^2 over the cell, z the active codeword
-        nearest the cell's centroid.
+        nearest the cell's midpoint.
 
         Exact for a single owner; for a contested cell it overestimates
         the true minimum.  Parallel-axis form: mass * (2 * 9^-d / 8 +
@@ -137,10 +141,8 @@ class _LatticeBook:
         d = self.scale
         s2 = 2 * 3**cell.depth
         cx, cy = (2 * cell.x + 1) * d, (2 * cell.y + 1) * d
-        gap = min(
-            (cx - s2 * a) ** 2 + (cy - s2 * b) ** 2
-            for a, b in (self.coords[i] for i in active)
-        )
+        a, b = self.coords[z]
+        gap = (cx - s2 * a) ** 2 + (cy - s2 * b) ** 2
         return Fraction(d * d + gap, 4 * 36**cell.depth * d * d)
 
     def lower_bound(self, cell: Cell, active: tuple[int, ...]) -> Fraction:
@@ -237,43 +239,35 @@ def exact_distortion(
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     book = _LatticeBook(codebook.points)
-    resolved = Fraction(0)
-    stuck_lo = Fraction(0)
-    stuck_up = Fraction(0)
-    stuck_cells = 0
-    pending_lo = Fraction(0)
-    pending_up = Fraction(0)
+    # Contested cells, queued or frozen at the depth limit, are open.
+    resolved = open_lo = open_up = Fraction(0)
+    frozen = False
     heap: list[tuple] = []
     tick = itertools.count()
 
     def consider(cell: Cell, active: tuple[int, ...]) -> None:
-        nonlocal resolved, stuck_lo, stuck_up, stuck_cells, pending_lo, pending_up
-        surv = book.survivors(cell, active)
-        up = book.nearest_integral(cell, surv)
+        nonlocal resolved, open_lo, open_up, frozen
+        z, surv = book.survivors(cell, active)
+        up = book.nearest_integral(cell, z)
         if len(surv) == 1:
             resolved += up
             return
         lo = book.lower_bound(cell, surv)
+        open_lo += lo
+        open_up += up
         if cell.depth >= max_depth:
-            stuck_cells += 1
-            stuck_lo += lo
-            stuck_up += up
+            frozen = True
         else:
-            pending_lo += lo
-            pending_up += up
             heapq.heappush(heap, (lo - up, next(tick), cell, surv, lo, up))
 
     consider(Cell(0, 0, 0), tuple(range(len(codebook))))
-    while heap and (pending_up - pending_lo) + (stuck_up - stuck_lo) > tolerance:
+    while heap and open_up - open_lo > tolerance:
         _, _, cell, surv, lo, up = heapq.heappop(heap)
-        pending_lo -= lo
-        pending_up -= up
+        open_lo -= lo
+        open_up -= up
         for child in cell.children():
             consider(child, surv)
-    lower = resolved + pending_lo + stuck_lo
-    upper = resolved + pending_up + stuck_up
-    exact = not heap and stuck_cells == 0
-    return CertifiedInterval(lower, upper, exact)
+    return CertifiedInterval(resolved + open_lo, resolved + open_up, not heap and not frozen)
 
 
 def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]:
@@ -289,7 +283,7 @@ def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]
     stack = [(Cell(0, 0, 0), tuple(range(len(codebook))))]
     while stack:
         cell, active = stack.pop()
-        surv = book.survivors(cell, active)
+        _, surv = book.survivors(cell, active)
         if len(surv) == 1:
             yield CellAssignment(cell, surv[0])
         elif cell.depth >= depth:

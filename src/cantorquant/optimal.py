@@ -221,7 +221,8 @@ _RANK_DIGITS = str.maketrans("12", "01")
 def _cell_words(ell: int, positions: Iterable[int]) -> tuple[CellAddress, ...]:
     """The addresses of the cells at the given positions."""
     words = _words(ell)
-    return tuple((words[p >> ell], words[p & ((1 << ell) - 1)]) for p in positions)
+    # A list, not a generator, for the reason given in codebook_for.
+    return tuple([(words[p >> ell], words[p & ((1 << ell) - 1)]) for p in positions])
 
 
 def _split_positions(spec: VariantSpec) -> frozenset[int]:
@@ -390,7 +391,10 @@ def codebook_for(spec: VariantSpec) -> Codebook:
             raise ValueError(f"duplicate codeword numerators {a}")
     q = 2 * 3 ** (ell + 1)
     coord = {a: Fraction(a, q) for a in (6 * v + d for v in row for d in (1, 3, 5))}
-    return Codebook(tuple(Point(coord[a], coord[b]) for a, b in pairs))
+    # From a list, tuple() allocates the exact size.  A tuple grown from a
+    # generator is resized, and once freed it stays on CPython's free list
+    # of its size, so a long run's memory would grow with its codebooks.
+    return Codebook(tuple([Point(coord[a], coord[b]) for a, b in pairs]))
 
 
 def optimal_codebook(n: int, variant: int | VariantSpec = 0) -> Codebook:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorquant import cli
 from cantorquant.cli import main
 from cantorquant.measure import cell_interval
 from cantorquant.optimal import grid_cells, optimal_codebook
@@ -204,6 +205,32 @@ class TestVerify:
         assert rc == 2
         assert "resolution-failure=3" in out
         assert out.rstrip().endswith("RESULT: FAIL (no multistart run finished)")
+
+    def test_fail_line_names_every_reason(self, capsys):
+        rc, out, _ = run(capsys, "verify", "5", "--depth", "1", "--seeds", "1")
+        assert rc == 2
+        assert out.count("fixed point FAIL") == 8
+        assert out.rstrip().splitlines()[-1] == (
+            "RESULT: FAIL (8 of 8 checked variants are not fixed points; "
+            "no multistart run finished)")
+
+    def test_fail_line_names_failed_variants_alone(self, capsys, monkeypatch):
+        # Every variant moves under this step, while multistart, which
+        # runs the engine's own step, still converges as in FINISHING.
+        monkeypatch.setattr(cli, "lloyd_step", lambda book, depth: optimal_codebook(1))
+        rc, out, _ = run(capsys, *self.FINISHING)
+        assert rc == 2
+        assert "best upper bound = 5/36 " in out
+        assert out.rstrip().splitlines()[-1] == (
+            "RESULT: FAIL (2 of 2 checked variants are not fixed points)")
+
+    def test_fail_line_names_a_beaten_closed_form(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "quantization_error", lambda n: Fraction(1))
+        rc, out, _ = run(capsys, *self.FINISHING)
+        assert rc == 2
+        assert "multistart found a better codebook than the closed form by 31/36" in out
+        assert out.rstrip().splitlines()[-1] == (
+            "RESULT: FAIL (multistart beat the closed form)")
 
 
 @pytest.mark.parametrize("argv,code,message", [

@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,23 @@ class TestMultistart:
         }
 
 
+class TestLargeN:
+    # About 6 s on a 2-vCPU Intel Xeon VM (Python 3.11); the budget leaves
+    # room for a loaded machine.
+    BUDGET_S = 60
+
+    def test_spread_variants_certify_exactly(self):
+        start = time.monotonic()
+        for n in (4095, 4096, 4097, 8192, 16383):
+            target = quantization_error(n)
+            for index in spread_indices(count_variants(n), 2):
+                iv = exact_distortion(optimal_codebook(n, index))
+                assert iv.exact and iv.lower == target, (n, index)
+        book = optimal_codebook(4096)
+        assert lloyd_step(book, 12) == book
+        assert time.monotonic() - start < self.BUDGET_S
+
+
 # ------------------------------------------------------------------
 # Reference walker: the engine as it was before cells became lattice
 # squares.  Cells are (sigma, tau, x0, x1, y0, y1) rectangles in plain
@@ -457,12 +475,13 @@ def ref_lloyd_step(codebook, depth):
     return Codebook.of(Point(mx[i] / mass[i], my[i] / mass[i]) for i in range(k))
 
 
-def random_books(count, seed=2024):
-    """Codebooks of 2..8 codewords on a 2^-20 grid; their bisectors cross the dust."""
+def random_books(count, seed=2024, sizes=(2, 9)):
+    """Codebooks of sizes[0] up to sizes[1] - 1 codewords on a 2^-20 grid;
+    their bisectors cross the dust."""
     rng = random.Random(seed)
     books = []
     while len(books) < count:
-        n = rng.randrange(2, 9)
+        n = rng.randrange(*sizes)
         points = {Point(Fraction(rng.getrandbits(20), 1 << 20),
                         Fraction(rng.getrandbits(20), 1 << 20)) for _ in range(n)}
         if len(points) == n:
@@ -477,6 +496,11 @@ CORPUS = {
         for n in range(2, 65) for i in spread_indices(count_variants(n), 2)
     ],
     "random": [(book, Fraction(1, 10**9), 40, 6) for book in random_books(30)],
+    # Large active sets: in some cells of each of these codebooks the
+    # filter against the nearest codeword keeps strictly more survivors
+    # than the all-pairs test of the reference walker.
+    "wide": [(book, Fraction(1, 10**9), 40, 6)
+             for book in random_books(8, seed=2025, sizes=(16, 33))],
     "diagonal": [(DIAGONAL_PAIR, Fraction(1, 10**30), depth, depth) for depth in (6, 9, 12)],
 }
 
