@@ -123,6 +123,33 @@ def _points_csv(book: Codebook, variant: int) -> list[str]:
     ]
 
 
+def _json_object(fields: list[tuple[str, str]], pad: str) -> str:
+    """A JSON object laid out as json.dumps(..., indent=2) lays it out
+    when nested at indent pad; keys are plain names, values JSON text."""
+    inner = pad + "  "
+    body = ",\n".join(f'{inner}"{key}": {value}' for key, value in fields)
+    return f"{{\n{body}\n{pad}}}"
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A non-empty JSON list of JSON texts, laid out like _json_object."""
+    inner = pad + "  "
+    return "[\n" + ",\n".join(inner + item for item in items) + f"\n{pad}]"
+
+
+def _json_points(book: Codebook, pad: str) -> str:
+    """The points as a list of {"x": ..., "y": ...}, laid out like _json_object."""
+    inner, key = pad + "  ", pad + "    "
+    return _json_list(
+        [
+            f'{{\n{key}"x": {json.dumps(format_rational(p.x))},\n'
+            f'{key}"y": {json.dumps(format_rational(p.y))}\n{inner}}}'
+            for p in book
+        ],
+        pad,
+    )
+
+
 def cmd_optimal(args: argparse.Namespace) -> int:
     n = args.n
     total = count_variants(n)
@@ -166,26 +193,24 @@ def cmd_optimal(args: argparse.Namespace) -> int:
             lines.extend(_points_csv(book, i))
         return _emit("\n".join(lines) + "\n", args.out)
     if args.all:
-        obj = {
-            "n": n,
-            "count": total,
-            "error": format_rational(error),
-            "error_approx": approx_str(error),
-            "codebooks": [
-                {"variant": i, "points": [p.to_json() for p in book]}
-                for i, book in books
-            ],
-        }
+        head = ("count", json.dumps(total))
+        codebooks = [
+            _json_object([("variant", json.dumps(i)), ("points", _json_points(book, "      "))], "    ")
+            for i, book in books
+        ]
+        body = ("codebooks", _json_list(codebooks, "  "))
     else:
         i, book = books[0]
-        obj = {
-            "n": n,
-            "variant": i,
-            "error": format_rational(error),
-            "error_approx": approx_str(error),
-            "points": [p.to_json() for p in book],
-        }
-    return _emit(json.dumps(obj, indent=2) + "\n", args.out)
+        head = ("variant", json.dumps(i))
+        body = ("points", _json_points(book, "  "))
+    fields = [
+        ("n", json.dumps(n)),
+        head,
+        ("error", json.dumps(format_rational(error))),
+        ("error_approx", json.dumps(approx_str(error))),
+        body,
+    ]
+    return _emit(_json_object(fields, "") + "\n", args.out)
 
 
 def cmd_error(args: argparse.Namespace) -> int:

@@ -18,8 +18,11 @@ depth limit contribute certified lower and upper bounds instead, so the
 result is always a correct enclosure, and it is exact whenever the
 recursion terminates.
 
-Everything runs in exact rational arithmetic.  Distances appear only
-squared; no roots, no rounding.
+The walks run in exact integer arithmetic.  Distances appear only
+squared; no roots, no rounding.  exact_distortion sums its bounds as
+integers in the unit 1/(4 * 36^deep * D^2), D the codebook's common
+denominator and deep the depth of the deepest cell met so far, and
+turns them into Fractions once, at return.
 """
 
 from __future__ import annotations
@@ -105,9 +108,11 @@ class _LatticeBook:
         ]
         self.norms = [a * a + b * b for a, b in self.coords]
 
-    def survivors(self, cell: Cell, active: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    def survivors(self, cell: Cell, active: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
         """z, the active codeword nearest the cell midpoint (the earliest on
-        ties), and the active codewords that z does not dominate on the cell.
+        ties), its squared distance to the midpoint in units of
+        1/(2 * 3^d * D)^2, and the active codewords that z does not dominate
+        on the cell.
 
         Dropped codewords cannot own any point of the cell.
         """
@@ -127,35 +132,18 @@ class _LatticeBook:
             ux, uy = 2 * d * (xi - xz), 2 * d * (yi - yz)
             if i == z or x * ux + y * uy + max(ux, 0) + max(uy, 0) > s * (norms[i] - norms[z]):
                 keep.append(i)
-        return z, tuple(keep)
+        return z, best, tuple(keep)
 
-    def nearest_integral(self, cell: Cell, z: int) -> Fraction:
-        """Integral of |p - z|^2 over the cell, z the active codeword
-        nearest the cell's midpoint.
-
-        Exact for a single owner; for a contested cell it overestimates
-        the true minimum.  Parallel-axis form: mass * (2 * 9^-d / 8 +
-        |centroid - z|^2), with the centroid at the cell midpoint and the
-        offsets in units of 1/(2 * 3^d * D).
-        """
+    def lower_gap(self, cell: Cell, active: tuple[int, ...]) -> int:
+        """Squared distance from the cell rectangle to its nearest active
+        codeword, in the units of survivors' midpoint gap."""
         d = self.scale
         s2 = 2 * 3**cell.depth
-        cx, cy = (2 * cell.x + 1) * d, (2 * cell.y + 1) * d
-        a, b = self.coords[z]
-        gap = (cx - s2 * a) ** 2 + (cy - s2 * b) ** 2
-        return Fraction(d * d + gap, 4 * 36**cell.depth * d * d)
-
-    def lower_bound(self, cell: Cell, active: tuple[int, ...]) -> Fraction:
-        """Mass times the squared distance from the cell rectangle to its
-        nearest active codeword; offsets in units of 1/(3^d * D)."""
-        d = self.scale
-        s = 3**cell.depth
-        x0, y0 = cell.x * d, cell.y * d
-        gap = min(
-            _outside(x0, x0 + d, s * a) ** 2 + _outside(y0, y0 + d, s * b) ** 2
+        x0, y0, side = 2 * cell.x * d, 2 * cell.y * d, 2 * d
+        return min(
+            _outside(x0, x0 + side, s2 * a) ** 2 + _outside(y0, y0 + side, s2 * b) ** 2
             for a, b in (self.coords[i] for i in active)
         )
-        return Fraction(gap, 36**cell.depth * d * d)
 
 
 def _outside(lo: int, hi: int, v: int) -> int:
@@ -232,6 +220,19 @@ def exact_distortion(
     four children until the global gap drops to the tolerance, the depth
     limit freezes the remainder, or nothing is contested.  The result is
     exact precisely when no contested cell remains.
+
+    Per cell, with z the active codeword nearest the midpoint and g the
+    squared offsets in units of 1/(2 * 3^d * D):
+    - the upper bound is the integral of |p - z|^2, mass times the
+      parallel-axis sum 2 * 9^-d / 8 + |midpoint - z|^2; exact for a single
+      owner, an overestimate for a contested cell;
+    - the lower bound is mass times the squared distance from the cell
+      rectangle to its nearest survivor.
+    In the unit 1/(4 * 36^d * D^2) these are D^2 + g(midpoint) and
+    g(rectangle), both integers.  All sums and heap keys are kept as
+    integers in the unit of the deepest cell met so far; when a deeper
+    cell arrives, everything is multiplied by 36, which keeps the heap
+    order.  The bounds become Fractions once, at return.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -239,20 +240,30 @@ def exact_distortion(
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     book = _LatticeBook(codebook.points)
-    # Contested cells, queued or frozen at the depth limit, are open.
-    resolved = open_lo = open_up = Fraction(0)
+    d2 = book.scale**2
+    # Bounds are numerators over unit = 4 * 36^deep * D^2; a depth-c
+    # numerator is lifted to it by 36^(deep - c).  A new cell is a child of
+    # a popped one, so it is at most one level below deep.  Contested cells, queued
+    # or frozen at the depth limit, are open.
+    deep, unit = 0, 4 * d2
+    resolved = open_lo = open_up = 0
     frozen = False
     heap: list[tuple] = []
     tick = itertools.count()
 
     def consider(cell: Cell, active: tuple[int, ...]) -> None:
-        nonlocal resolved, open_lo, open_up, frozen
-        z, surv = book.survivors(cell, active)
-        up = book.nearest_integral(cell, z)
+        nonlocal deep, unit, resolved, open_lo, open_up, frozen
+        if cell.depth > deep:
+            deep, unit = cell.depth, 36 * unit
+            resolved, open_lo, open_up = 36 * resolved, 36 * open_lo, 36 * open_up
+            heap[:] = [(36 * key, t, c, s, 36 * lo, 36 * up) for key, t, c, s, lo, up in heap]
+        f = 36 ** (deep - cell.depth)
+        _, gap, surv = book.survivors(cell, active)
+        up = (d2 + gap) * f
         if len(surv) == 1:
             resolved += up
             return
-        lo = book.lower_bound(cell, surv)
+        lo = book.lower_gap(cell, surv) * f
         open_lo += lo
         open_up += up
         if cell.depth >= max_depth:
@@ -261,13 +272,17 @@ def exact_distortion(
             heapq.heappush(heap, (lo - up, next(tick), cell, surv, lo, up))
 
     consider(Cell(0, 0, 0), tuple(range(len(codebook))))
-    while heap and open_up - open_lo > tolerance:
+    while heap and (open_up - open_lo) * tolerance.denominator > tolerance.numerator * unit:
         _, _, cell, surv, lo, up = heapq.heappop(heap)
         open_lo -= lo
         open_up -= up
         for child in cell.children():
             consider(child, surv)
-    return CertifiedInterval(resolved + open_lo, resolved + open_up, not heap and not frozen)
+    return CertifiedInterval(
+        Fraction(resolved + open_lo, unit),
+        Fraction(resolved + open_up, unit),
+        not heap and not frozen,
+    )
 
 
 def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]:
@@ -283,7 +298,7 @@ def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]
     stack = [(Cell(0, 0, 0), tuple(range(len(codebook))))]
     while stack:
         cell, active = stack.pop()
-        _, surv = book.survivors(cell, active)
+        _, _, surv = book.survivors(cell, active)
         if len(surv) == 1:
             yield CellAssignment(cell, surv[0])
         elif cell.depth >= depth:

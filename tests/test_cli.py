@@ -164,6 +164,18 @@ class TestDistortion:
         assert rc == 3
         assert err.endswith(": codebook field n must be an integer, got '1'\n")
 
+    def test_huge_depth_cap_prints_the_same_interval(self, capsys, tmp_path):
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps({
+            "points": [{"x": "3/10", "y": "7/10"}, {"x": "7/10", "y": "3/10"}],
+        }))
+        outs = [
+            run(capsys, "distortion", "--codebook", str(path), "--tol", "1e-9", "--depth", depth)
+            for depth in ("1000000000", "40")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+
     def test_interval_output_for_contested_book(self, capsys, tmp_path):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps({

@@ -156,6 +156,16 @@ class TestExactDistortion:
         assert not ivs[-1].exact
         assert ivs[-1].lower > Fraction(5, 36)
 
+    def test_huge_depth_cap_costs_nothing_extra(self):
+        # The bounds' unit follows the deepest cell reached, not the cap: a
+        # unit of 36^max_depth would be a gigabit integer here.
+        tol = Fraction(1, 10**9)
+        start = time.monotonic()
+        huge = exact_distortion(DIAGONAL_PAIR, tol, 10**9)
+        assert time.monotonic() - start < 2
+        capped = exact_distortion(DIAGONAL_PAIR, tol, 40)
+        assert (huge.lower, huge.upper, huge.exact) == (capped.lower, capped.upper, capped.exact)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             exact_distortion(HORIZONTAL_PAIR, max_depth=0)
@@ -518,6 +528,23 @@ class TestAgainstReferenceWalker:
         for book, tol, max_depth, _ in CORPUS[family]:
             iv = exact_distortion(book, tol, max_depth)
             assert (iv.lower, iv.upper, iv.exact) == ref_exact_distortion(book, tol, max_depth)
+
+    @pytest.mark.parametrize("family", ["diagonal", "random"])
+    def test_intervals_match_at_the_stop_boundary(self, family):
+        # A reference walk that stops on the tolerance 1e-9 with width w
+        # stops at the same step at tolerance w: every earlier width was
+        # above 1e-9.  At tolerance w the stop test's strict > is decided
+        # by equality.
+        tol = Fraction(1, 10**9)
+        boundary = 0
+        for book, _, max_depth, _ in CORPUS[family]:
+            want = ref_exact_distortion(book, tol, max_depth)
+            width = want[1] - want[0]
+            if 0 < width <= tol:
+                boundary += 1
+                iv = exact_distortion(book, width, max_depth)
+                assert (iv.lower, iv.upper, iv.exact) == want
+        assert boundary > 0
 
     @pytest.mark.parametrize("family", sorted(CORPUS))
     def test_partitions_match(self, family):
