@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import errno
 import hashlib
 import json
 import os
@@ -273,6 +274,65 @@ def test_error_too_long_to_print(capsys, command):
         f"cannot print the error: n={n} has an error denominator of more "
         f"than 4300 digits\n"
     )
+
+
+def _os_error(code, path):
+    return f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
+
+
+# Each failure site's exact stderr line and exit code; argv and the line
+# are built from the directory holding the fixture files.
+FAILURES = {
+    "read-missing": lambda d: (
+        ["distortion", "--codebook", f"{d}/none.json"], 3,
+        f"cannot read {d}/none.json: {_os_error(errno.ENOENT, f'{d}/none.json')}"),
+    "read-directory": lambda d: (
+        ["distortion", "--codebook", str(d)], 3,
+        f"cannot read {d}: {_os_error(errno.EISDIR, d)}"),
+    "parse-error": lambda d: (
+        ["distortion", "--codebook", f"{d}/bad.json"], 3,
+        f"parse error in {d}/bad.json at line 2, column 15: "
+        "Expecting property name enclosed in double quotes"),
+    "invalid-codebook": lambda d: (
+        ["distortion", "--codebook", f"{d}/notbook.json"], 3,
+        f"invalid codebook in {d}/notbook.json: "
+        "a codebook must be an object with a list of points"),
+    "distortion-tol": lambda d: (
+        ["distortion", "--codebook", f"{d}/book.json", "--tol", "-1"], 1,
+        "tolerance must be positive, got -1"),
+    "distortion-tol-text": lambda d: (
+        ["distortion", "--codebook", f"{d}/book.json", "--tol", "abc"], 1,
+        "Invalid literal for Fraction: 'abc'"),
+    "verify-tol": lambda d: (
+        ["verify", "2", "--tol", "0"], 1, "tolerance must be positive, got 0"),
+    "verify-tol-text": lambda d: (
+        ["verify", "2", "--tol", "1/0"], 1, "zero denominator in '1/0'"),
+    "optimal-out": lambda d: (
+        ["optimal", "2", "--out", f"{d}/none/x.json"], 3,
+        f"cannot write {d}/none/x.json: {_os_error(errno.ENOENT, f'{d}/none/x.json')}"),
+    "plot-out": lambda d: (
+        ["plot", "2", "--out", f"{d}/none/x.svg"], 3,
+        f"cannot write {d}/none/x.svg: {_os_error(errno.ENOENT, f'{d}/none/x.svg')}"),
+    "optimal-all-refusal": lambda d: (
+        ["optimal", "200", "--all"], 1,
+        "refusing to enumerate 22981964535622049271251251584245115364835328 "
+        "variants for n=200; use --variant with an index below "
+        "22981964535622049271251251584245115364835328"),
+    "optimal-variant-range": lambda d: (
+        ["optimal", "4", "--variant", "3"], 1,
+        "variant 3 out of range: n=4 has 1 variant (0..0)"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(FAILURES))
+def test_failure_prints_one_line_and_its_exit_code(capsys, tmp_path, site):
+    (tmp_path / "bad.json").write_text('{"points": [\n  {"x": "1/2",}\n]}\n')
+    (tmp_path / "notbook.json").write_text('{"points": "none"}')
+    (tmp_path / "book.json").write_text(
+        json.dumps({"points": [{"x": "1/4", "y": "1/2"}, {"x": "3/4", "y": "1/2"}]}))
+    argv, code, line = FAILURES[site](tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (code, "", line + "\n")
 
 
 class TestPlot:
