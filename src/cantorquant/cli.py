@@ -7,10 +7,13 @@ Every command is deterministic given its flags.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage error,
 2 verification failure, 3 I/O or input-file error or a result too long
-to print.  ``verify`` fails when a checked variant is not a fixed point,
-when multistart beats the closed form, and when no multistart run
-finished, since it then has no evidence; its last line names every
-reason.
+to print.  A command that fails prints one line to stderr: it raises
+``_Failure``, and ``main`` prints it and returns its code.  ``verify``
+instead ends its stdout with a FAIL line naming every reason: a checked
+variant that is not a fixed point, multistart beating the closed form,
+or no multistart run finished, since it then has no evidence.  Codebook
+files are read as UTF-8, as JSON is.  A variant count whose lower bound
+is already too long to print is refused before it is computed.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .engine import (
 from .measure import format_rational, parse_rational
 from .optimal import (
     Codebook,
+    _count_bits,
     count_variants,
     optimal_codebook,
     quantization_error,
@@ -55,14 +59,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def approx_str(value: Fraction, digits: int = 10) -> str:
-    """Decimal rendering with the given number of significant digits."""
+class _Failure(Exception):
+    """_Failure(code, message): main prints the message as one stderr
+    line and returns the exit code."""
+
+
+def approx_str(value: Fraction) -> str:
+    """Decimal rendering with ten significant digits."""
     if value == 0:
         return "0"
     with localcontext() as ctx:
-        ctx.prec = digits + 15
+        ctx.prec = 25
         d = Decimal(value.numerator) / Decimal(value.denominator)
-        q = d.quantize(Decimal(1).scaleb(d.adjusted() - (digits - 1)))
+        q = d.quantize(Decimal(1).scaleb(d.adjusted() - 9))
     return str(q)
 
 
@@ -74,9 +83,12 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_tolerance(text: str) -> Fraction:
-    tol = parse_rational(text)
+    try:
+        tol = parse_rational(text)
+    except ValueError as err:
+        raise _Failure(EXIT_USAGE, str(err))
     if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {text}")
+        raise _Failure(EXIT_USAGE, f"tolerance must be positive, got {text}")
     return tol
 
 
@@ -88,32 +100,29 @@ def _emit(text: str, path: str | None) -> int:
         with open(path, "w", newline="\n") as handle:
             handle.write(text)
     except OSError as err:
-        print(f"cannot write {path}: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"cannot write {path}: {err}")
     return EXIT_OK
 
 
-def _text(value: int | Fraction) -> str | None:
-    """value as exact text, or None when it has more digits than the
-    interpreter turns into text (sys.get_int_max_str_digits())."""
+def _text(value: int | Fraction, n: int, code: int, prefix: str) -> str:
+    """n's variant count or error as exact text, or a failure when it has
+    more digits than the interpreter prints (sys.get_int_max_str_digits())."""
     try:
         return format_rational(value)
     except ValueError:
-        return None
+        what = "a variant count" if isinstance(value, int) else "an error denominator"
+        limit = sys.get_int_max_str_digits()
+        raise _Failure(code, f"{prefix}n={n} has {what} of more than {limit} digits")
 
 
-def _count_too_long(n: int) -> str:
-    return (
-        f"n={n} has a variant count of more than "
-        f"{sys.get_int_max_str_digits()} digits"
-    )
-
-
-def _error_too_long(n: int) -> str:
-    return (
-        f"n={n} has an error denominator of more than "
-        f"{sys.get_int_max_str_digits()} digits"
-    )
+def _count(n: int, code: int, prefix: str) -> int:
+    """count_variants(n), refused uncomputed when its lower bound 2^B is too
+    long to print: B * log10(2) > B / 3.3220 >= limit.  Python before 3.10.7
+    has no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and _count_bits(n) * 1000 >= limit * 3322:
+        raise _Failure(code, f"{prefix}n={n} has a variant count of more than {limit} digits")
+    return count_variants(n)
 
 
 def _points_csv(book: Codebook, variant: int) -> list[str]:
@@ -140,58 +149,44 @@ def _json_list(items: list[str], pad: str) -> str:
 def _json_points(book: Codebook, pad: str) -> str:
     """The points as a list of {"x": ..., "y": ...}, laid out like _json_object."""
     inner, key = pad + "  ", pad + "    "
-    return _json_list(
-        [
-            f'{{\n{key}"x": {json.dumps(format_rational(p.x))},\n'
-            f'{key}"y": {json.dumps(format_rational(p.y))}\n{inner}}}'
-            for p in book
-        ],
-        pad,
-    )
+    return _json_list([
+        f'{{\n{key}"x": {json.dumps(format_rational(p.x))},\n'
+        f'{key}"y": {json.dumps(format_rational(p.y))}\n{inner}}}'
+        for p in book
+    ], pad)
 
 
 def cmd_optimal(args: argparse.Namespace) -> int:
     n = args.n
-    total = count_variants(n)
-    shown = _text(total)
     error = quantization_error(n)
     if args.all:
+        refusal = "refusing to enumerate the variants: "
+        total = _count(n, EXIT_USAGE, refusal)
         if total > ENUM_ALL_LIMIT:
-            print(
-                f"refusing to enumerate {shown} variants for n={n}; "
-                f"use --variant with an index below {shown}"
-                if shown is not None
-                else f"refusing to enumerate the variants: {_count_too_long(n)}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            shown = _text(total, n, EXIT_USAGE, refusal)
+            raise _Failure(EXIT_USAGE, f"refusing to enumerate {shown} variants for n={n}; "
+                           f"use --variant with an index below {shown}")
         indices = range(total)
     else:
+        total = count_variants(n)
         index = args.variant if args.variant is not None else 0
         if not 0 <= index < total:
-            print(
-                f"variant {index} out of range: n={n} has {shown} "
-                f"variant{'s' if total != 1 else ''} (0..{total - 1})"
-                if shown is not None
-                else f"variant {index} out of range: indices start at 0, and "
-                f"{_count_too_long(n)}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            shown = _text(total, n, EXIT_USAGE,
+                          f"variant {index} out of range: indices start at 0, and ")
+            raise _Failure(EXIT_USAGE, f"variant {index} out of range: n={n} has {shown} "
+                           f"variant{'s' if total != 1 else ''} (0..{total - 1})")
         indices = range(index, index + 1)
-    if args.format == "csv" and shown is None:
-        print(f"cannot print the CSV header: {_count_too_long(n)}", file=sys.stderr)
-        return EXIT_IO
-    books = [(i, optimal_codebook(n, i)) for i in indices]
     if args.format == "csv":
+        shown = _text(total, n, EXIT_IO, "cannot print the CSV header: ")
         lines = [
             f"# n={n} count={shown} error={format_rational(error)} "
             f"approx={approx_str(error)}",
             "variant,x,y",
         ]
-        for i, book in books:
-            lines.extend(_points_csv(book, i))
+        for i in indices:
+            lines.extend(_points_csv(optimal_codebook(n, i), i))
         return _emit("\n".join(lines) + "\n", args.out)
+    books = [(i, optimal_codebook(n, i)) for i in indices]
     if args.all:
         head = ("count", json.dumps(total))
         codebooks = [
@@ -215,10 +210,7 @@ def cmd_optimal(args: argparse.Namespace) -> int:
 
 def cmd_error(args: argparse.Namespace) -> int:
     value = quantization_error(args.n)
-    shown = _text(value)
-    if shown is None:
-        print(f"cannot print the error: {_error_too_long(args.n)}", file=sys.stderr)
-        return EXIT_IO
+    shown = _text(value, args.n, EXIT_IO, "cannot print the error: ")
     print(f"{shown} = {approx_str(value)} (approx)")
     return EXIT_OK
 
@@ -226,57 +218,35 @@ def cmd_error(args: argparse.Namespace) -> int:
 def cmd_distortion(args: argparse.Namespace) -> int:
     path = args.codebook
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
-        print(f"cannot read {path}: {err}", file=sys.stderr)
-        return EXIT_IO
+    except (OSError, UnicodeDecodeError) as err:
+        raise _Failure(EXIT_IO, f"cannot read {path}: {err}")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as err:
-        print(
-            f"parse error in {path} at line {err.lineno}, column {err.colno}: "
-            f"{err.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"parse error in {path} at line {err.lineno}, "
+                       f"column {err.colno}: {err.msg}")
     try:
         book = Codebook.from_json_obj(obj)
     except (TypeError, ValueError) as err:
-        print(f"invalid codebook in {path}: {err}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        tol = _parse_tolerance(args.tol)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
-    interval = exact_distortion(book, tol, args.depth)
+        raise _Failure(EXIT_IO, f"invalid codebook in {path}: {err}")
+    interval = exact_distortion(book, _parse_tolerance(args.tol), args.depth)
     try:
         text = json.dumps(interval.to_json_obj())
     except ValueError as err:
-        print(f"cannot print the distortion of {path}: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise _Failure(EXIT_IO, f"cannot print the distortion of {path}: {err}")
     print(text)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
-    try:
-        tol = _parse_tolerance(args.tol)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
-    total = count_variants(n)
-    shown = _text(total)
-    if shown is None:
-        print(f"cannot print the count: {_count_too_long(n)}", file=sys.stderr)
-        return EXIT_IO
+    tol = _parse_tolerance(args.tol)
+    total = _count(n, EXIT_IO, "cannot print the count: ")
+    shown = _text(total, n, EXIT_IO, "cannot print the count: ")
     target = quantization_error(n)
-    target_text = _text(target)
-    if target_text is None:
-        print(f"cannot print the error: {_error_too_long(n)}", file=sys.stderr)
-        return EXIT_IO
+    target_text = _text(target, n, EXIT_IO, "cannot print the error: ")
     print(f"n = {n}")
     print(f"closed-form error = {target_text} = {approx_str(target)} (approx)")
     checked = spread_indices(total, args.max_variants)
@@ -297,8 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print("statuses: " + " ".join(f"{s.value}={tally[s]}" for s in RunStatus))
     reasons = []
     if failed_variants:
-        reasons.append(
-            f"{failed_variants} of {len(checked)} checked variants are not fixed points")
+        reasons.append(f"{failed_variants} of {len(checked)} checked variants are not fixed points")
     best = result.best
     if best is None:
         print("best upper bound = none (no run finished)")
@@ -322,11 +291,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    shown = _text(count_variants(args.n))
-    if shown is None:
-        print(f"cannot print the count: {_count_too_long(args.n)}", file=sys.stderr)
-        return EXIT_IO
-    print(shown)
+    prefix = "cannot print the count: "
+    print(_text(_count(args.n, EXIT_IO, prefix), args.n, EXIT_IO, prefix))
     return EXIT_OK
 
 
@@ -389,6 +355,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return _HANDLERS[args.command](args)
+    args = build_parser().parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except _Failure as failure:
+        code, message = failure.args
+        print(message, file=sys.stderr)
+        return code

@@ -244,15 +244,15 @@ def exact_distortion(
     # Bounds are numerators over unit = 4 * 36^deep * D^2; a depth-c
     # numerator is lifted to it by 36^(deep - c).  A new cell is a child of
     # a popped one, so it is at most one level below deep.  Contested cells, queued
-    # or frozen at the depth limit, are open.
+    # or frozen at the depth limit, are open, and each has lo < up, since
+    # lo <= f * gap < f * (d2 + gap) = up.
     deep, unit = 0, 4 * d2
     resolved = open_lo = open_up = 0
-    frozen = False
     heap: list[tuple] = []
     tick = itertools.count()
 
     def consider(cell: Cell, active: tuple[int, ...]) -> None:
-        nonlocal deep, unit, resolved, open_lo, open_up, frozen
+        nonlocal deep, unit, resolved, open_lo, open_up
         if cell.depth > deep:
             deep, unit = cell.depth, 36 * unit
             resolved, open_lo, open_up = 36 * resolved, 36 * open_lo, 36 * open_up
@@ -266,9 +266,7 @@ def exact_distortion(
         lo = book.lower_gap(cell, surv) * f
         open_lo += lo
         open_up += up
-        if cell.depth >= max_depth:
-            frozen = True
-        else:
+        if cell.depth < max_depth:
             heapq.heappush(heap, (lo - up, next(tick), cell, surv, lo, up))
 
     consider(Cell(0, 0, 0), tuple(range(len(codebook))))
@@ -281,7 +279,7 @@ def exact_distortion(
     return CertifiedInterval(
         Fraction(resolved + open_lo, unit),
         Fraction(resolved + open_up, unit),
-        not heap and not frozen,
+        open_lo == open_up,
     )
 
 

@@ -156,6 +156,14 @@ def count_variants(n: int) -> int:
     return math.comb(cells, k) * more**k * rest ** (cells - k)
 
 
+def _count_bits(n: int) -> int:
+    """B with count_variants(n) >= 2^B, in plain integer arithmetic: the
+    pattern counts are powers of two, and C(4^ell, k) >= 1."""
+    ell, m, k = _cell_counts(n)
+    rest, more = len(_PATTERNS[m]), len(_PATTERNS[m + 1])
+    return k * (more.bit_length() - 1) + (4**ell - k) * (rest.bit_length() - 1)
+
+
 def _unrank_combination(total: int, size: int, rank: int) -> tuple[int, ...]:
     """The rank-th size-subset of range(total) in lexicographic order.
 

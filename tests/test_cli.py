@@ -335,6 +335,31 @@ def test_failure_prints_one_line_and_its_exit_code(capsys, tmp_path, site):
     assert (rc, out, err) == (code, "", line + "\n")
 
 
+def test_non_utf8_codebook_is_a_read_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    rc, out, err = run(capsys, "distortion", "--codebook", str(path))
+    assert (rc, out) == (3, "")
+    assert err == (f"cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["count", "10000000"], 3, "cannot print the count: "),
+    (["verify", "10000000", "--seeds", "1"], 3, "cannot print the count: "),
+    (["optimal", "10000000", "--all"], 1, "refusing to enumerate the variants: "),
+], ids=["count", "verify", "optimal-all"])
+def test_unprintable_count_is_refused_before_it_is_computed(capsys, monkeypatch, argv, code, message):
+    # The count of n = 10^7 has millions of digits; computing it takes minutes.
+    def never(n):
+        raise AssertionError(f"count_variants({n}) was computed")
+
+    monkeypatch.setattr(cli, "count_variants", never)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (
+        code, "", message + "n=10000000 has a variant count of more than 4300 digits\n")
+
+
 class TestPlot:
     def test_cell_and_point_counts(self, capsys):
         rc, out, _ = run(capsys, "plot", "4", "--depth", "3")

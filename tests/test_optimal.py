@@ -14,6 +14,8 @@ from cantorquant.optimal import (
     Codebook,
     Regime,
     VariantSpec,
+    _cell_counts,
+    _count_bits,
     _rank_combination,
     _unrank_combination,
     lattice_row,
@@ -102,6 +104,12 @@ class TestCounting:
         assert count_variants(16) == 1
         assert count_variants(63) > 1
         assert count_variants(64) == 1
+
+    def test_count_bits_bound_the_count(self):
+        # 2^B is the choice factor; C(4^ell, k) is the rest of the count.
+        for n in range(1, 4**5 + 1):
+            ell, m, k = _cell_counts(n)
+            assert count_variants(n) == math.comb(4**ell, k) << _count_bits(n), n
 
 
 class TestVariantEnumeration:
