@@ -115,14 +115,15 @@ def _text(value: int | Fraction, n: int, code: int, prefix: str) -> str:
         raise _Failure(code, f"{prefix}n={n} has {what} of more than {limit} digits")
 
 
-def _count(n: int, code: int, prefix: str) -> int:
-    """count_variants(n), refused uncomputed when its lower bound 2^B is too
-    long to print: B * log10(2) > B / 3.3220 >= limit.  Python before 3.10.7
-    has no limit."""
+def _count_text(n: int, code: int, prefix: str) -> tuple[int, str]:
+    """count_variants(n) and its text.  A count too long to print is refused
+    before it is computed when its lower bound 2^B already is:
+    B * log10(2) > B / 3.3220 >= limit (no limit before Python 3.10.7)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and _count_bits(n) * 1000 >= limit * 3322:
         raise _Failure(code, f"{prefix}n={n} has a variant count of more than {limit} digits")
-    return count_variants(n)
+    total = count_variants(n)
+    return total, _text(total, n, code, prefix)
 
 
 def _points_csv(book: Codebook, variant: int) -> list[str]:
@@ -149,21 +150,22 @@ def _json_list(items: list[str], pad: str) -> str:
 def _json_points(book: Codebook, pad: str) -> str:
     """The points as a list of {"x": ..., "y": ...}, laid out like _json_object."""
     inner, key = pad + "  ", pad + "    "
-    return _json_list([
-        f'{{\n{key}"x": {json.dumps(format_rational(p.x))},\n'
-        f'{key}"y": {json.dumps(format_rational(p.y))}\n{inner}}}'
-        for p in book
-    ], pad)
+    return _json_list(
+        [
+            f'{{\n{key}"x": {json.dumps(format_rational(p.x))},\n'
+            f'{key}"y": {json.dumps(format_rational(p.y))}\n{inner}}}'
+            for p in book
+        ],
+        pad,
+    )
 
 
 def cmd_optimal(args: argparse.Namespace) -> int:
     n = args.n
     error = quantization_error(n)
     if args.all:
-        refusal = "refusing to enumerate the variants: "
-        total = _count(n, EXIT_USAGE, refusal)
+        total, shown = _count_text(n, EXIT_USAGE, "refusing to enumerate the variants: ")
         if total > ENUM_ALL_LIMIT:
-            shown = _text(total, n, EXIT_USAGE, refusal)
             raise _Failure(EXIT_USAGE, f"refusing to enumerate {shown} variants for n={n}; "
                            f"use --variant with an index below {shown}")
         indices = range(total)
@@ -243,8 +245,7 @@ def cmd_distortion(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     tol = _parse_tolerance(args.tol)
-    total = _count(n, EXIT_IO, "cannot print the count: ")
-    shown = _text(total, n, EXIT_IO, "cannot print the count: ")
+    total, shown = _count_text(n, EXIT_IO, "cannot print the count: ")
     target = quantization_error(n)
     target_text = _text(target, n, EXIT_IO, "cannot print the error: ")
     print(f"n = {n}")
@@ -267,7 +268,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print("statuses: " + " ".join(f"{s.value}={tally[s]}" for s in RunStatus))
     reasons = []
     if failed_variants:
-        reasons.append(f"{failed_variants} of {len(checked)} checked variants are not fixed points")
+        reasons.append(
+            f"{failed_variants} of {len(checked)} checked variants are not fixed points")
     best = result.best
     if best is None:
         print("best upper bound = none (no run finished)")
@@ -291,8 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    prefix = "cannot print the count: "
-    print(_text(_count(args.n, EXIT_IO, prefix), args.n, EXIT_IO, prefix))
+    print(_count_text(args.n, EXIT_IO, "cannot print the count: ")[1])
     return EXIT_OK
 
 
