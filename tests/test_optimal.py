@@ -108,7 +108,7 @@ class TestCounting:
     def test_count_bits_bound_the_count(self):
         # 2^B is the choice factor; C(4^ell, k) is the rest of the count.
         for n in range(1, 4**5 + 1):
-            ell, m, k = _cell_counts(n)
+            ell, _, k = _cell_counts(n)
             assert count_variants(n) == math.comb(4**ell, k) << _count_bits(n), n
 
 
