@@ -13,13 +13,15 @@ instead ends its stdout with a FAIL line naming every reason: a checked
 variant that is not a fixed point, multistart beating the closed form,
 or no multistart run finished, since it then has no evidence.  Codebook
 files are read as UTF-8, as JSON is.  A variant count whose lower bound
-is already too long to print is refused before it is computed.
+is already too long to print is refused before it is computed, as is a
+``plot`` deeper than PLOT_DEPTH_LIMIT.  A closed stdout gives exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -49,6 +51,7 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 ENUM_ALL_LIMIT = 100_000
+PLOT_DEPTH_LIMIT = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -298,8 +301,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    svg = render_svg(args.n, args.depth)
-    return _emit(svg, args.out)
+    if args.depth > PLOT_DEPTH_LIMIT:
+        raise _Failure(EXIT_USAGE, f"refusing to draw the 4^{args.depth} cells of depth "
+                       f"{args.depth}; use --depth {PLOT_DEPTH_LIMIT} or less")
+    return _emit(render_svg(args.n, args.depth), args.out)
 
 
 _HANDLERS = {
@@ -358,8 +363,16 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except _Failure as failure:
         code, message = failure.args
         print(message, file=sys.stderr)
         return code
+    except BrokenPipeError as err:
+        # The reader is gone: point stdout at os.devnull for the flush at exit.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"cannot write stdout: {err}", file=sys.stderr)
+        return EXIT_IO

@@ -21,25 +21,22 @@ n = 3*4^ell and m = 3 above it.  Admitting ell = 0 (the single empty
 cell) makes n = 1, 2 and 3 ordinary instances: n = 1 is POWER at ell = 0,
 whose codebook is the mean and whose error is the total variance 1/4.
 
-A cell carries a choice iff it has more than one pattern.  Variants are
-indexed deterministically: subsets I in lexicographic order of their
-sorted cell addresses, then the choices of the choice-carrying cells,
-in address order, as one mixed-radix number.  The index <-> VariantSpec
-mapping is part of the public contract.
+A cell carries a choice iff it has more than one pattern.  A depth-ell
+cell (s, t) is named by its position, its index in address order: the
+cells sorted lexicographically by (s, t).  With rank(s) the word s read
+as binary with 1 -> 0 and 2 -> 1, the position is rank(s) * 2^ell +
+rank(t).  Variants are indexed deterministically: subsets I in
+lexicographic order of their sorted positions, then the choices of the
+choice-carrying cells, in position order, as one mixed-radix number.
+The index <-> VariantSpec mapping is part of the public contract.
 
-Internally a depth-ell cell (s, t) is its position rank(s) * 2^ell +
-rank(t), where rank reads a word as binary with 1 -> 0 and 2 -> 1; that
-is its index in grid_cells(ell), so address order is position order.
-Subsets are ranked and unranked as sets of positions in the
-combinatorial number system, and codebooks are assembled as integer
-numerator pairs over the common denominator 2 * 3^(ell+1), with one
-Fraction per distinct numerator.  BinaryWord addresses appear only in
-the VariantSpecs handed out and read back.
+Subsets are ranked and unranked in the combinatorial number system, and
+codebooks are assembled as integer numerator pairs over the common
+denominator 2 * 3^(ell+1), with one Fraction per distinct numerator.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -48,9 +45,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .measure import Point
-from .words import BinaryWord
-
-CellAddress = tuple[BinaryWord, BinaryWord]
 
 
 class Regime(Enum):
@@ -75,10 +69,10 @@ def level(n: int) -> tuple[int, Regime]:
 # Point patterns per cell
 # ============================================================
 # A depth-ell cell U_s[0,1] is the lattice interval [X, X+1] * 3^-ell
-# with X = s.lattice.  Over Q = 2 * 3^(ell+1) its left child's midpoint,
-# its own midpoint and its right child's midpoint have the numerators
-# 6X+1, 6X+3 and 6X+5, so each pattern below lists (dx, dy) offsets from
-# (6X, 6Y).
+# with X = lattice_row(ell)[rank(s)].  Over Q = 2 * 3^(ell+1) its left
+# child's midpoint, its own midpoint and its right child's midpoint have
+# the numerators 6X+1, 6X+3 and 6X+5, so each pattern below lists
+# (dx, dy) offsets from (6X, 6Y).
 
 _MIDPOINT = ((3, 3),)
 # Choice 0 splits along x, choice 1 along y.
@@ -116,35 +110,25 @@ def quantization_error(n: int) -> Fraction:
     return ((cells - k) * _CELL_ERROR[m] + k * _CELL_ERROR[m + 1]) / 36**ell
 
 
-def _words(ell: int) -> list[BinaryWord]:
-    return [BinaryWord("".join(bits)) for bits in itertools.product("12", repeat=ell)]
-
-
-def grid_cells(ell: int) -> tuple[CellAddress, ...]:
-    """All product cells of depth ell, in lexicographic address order."""
-    words = _words(ell)
-    return tuple((s, t) for s in words for t in words)
-
-
 @dataclass(frozen=True, slots=True)
 class VariantSpec:
     """One member of the optimal family for a given n.
 
-    ``split_cells`` is the set I as a sorted tuple of cell addresses:
+    ``split_cells`` is the set I as a sorted tuple of cell positions,
+    each a cell's index in address order (see the module docstring):
     the k cells holding m + 1 points, where every other cell holds m.
     A cell carries a choice iff it has more than one pattern, and
-    ``choices`` holds one pattern index per such cell, in address
+    ``choices`` holds one pattern index per such cell, in position
     order.  So LOW (m = 1) chooses an axis pair, in {0,1}, on each split
     cell; HIGH with m = 2 chooses on every cell, in {0,1,2,3} if split
     (three-point set) else {0,1} (axis pair); HIGH with m = 3 chooses a
     three-point set, in {0,1,2,3}, on each non-split cell, since the
-    child grid is unique.  POWER variants carry no choices.
+    child grid is unique.  POWER variants carry no choices.  level(n)
+    gives the level and regime.
     """
 
     n: int
-    level: int
-    regime: Regime
-    split_cells: tuple[CellAddress, ...]
+    split_cells: tuple[int, ...]
     choices: tuple[int, ...]
 
 
@@ -222,54 +206,26 @@ def _radices(m: int, cells: int, split: frozenset[int]) -> list[int]:
     return [r for p in range(cells) if (r := more if p in split else rest) > 1]
 
 
-# A word's rank reads it as binary with 1 -> 0 and 2 -> 1.
-_RANK_DIGITS = str.maketrans("12", "01")
-
-
-def _cell_words(ell: int, positions: Iterable[int]) -> tuple[CellAddress, ...]:
-    """The addresses of the cells at the given positions."""
-    words = _words(ell)
-    # A list, not a generator, for the reason given in codebook_for.
-    return tuple([(words[p >> ell], words[p & ((1 << ell) - 1)]) for p in positions])
-
-
-def _split_positions(spec: VariantSpec) -> frozenset[int]:
-    """spec.split_cells as cell positions.
-
-    Cell (s, t) of depth ell has position rank(s) * 2^ell + rank(t), its
-    index in grid_cells(ell).  Raises ValueError for a cell of another depth
-    and for a repeated cell.
-    """
-    ell = spec.level
-    positions = set()
-    for s, t in spec.split_cells:
-        if len(s) != ell or len(t) != ell:
-            raise ValueError(f"split cell ({s}, {t}) is not a cell of depth {ell}")
-        p = int("0" + (s.symbols + t.symbols).translate(_RANK_DIGITS), 2)
-        if p in positions:
-            raise ValueError(f"split cell ({s}, {t}) is repeated")
-        positions.add(p)
-    return frozenset(positions)
-
-
-def _checked(spec: VariantSpec) -> tuple[int, frozenset[int], list[int]]:
-    """m, the split positions and the choice radices of a spec, after
+def _checked(spec: VariantSpec) -> tuple[int, int, frozenset[int], list[int]]:
+    """ell, m, the split positions and the choice radices of a spec, after
     checking that it describes an n-point variant; raises ValueError if not."""
-    if level(spec.n) != (spec.level, spec.regime):
-        raise ValueError(
-            f"n={spec.n} is not in regime {spec.regime.value} at level {spec.level}"
-        )
-    _, m, k = _cell_counts(spec.n)
-    split = _split_positions(spec)
+    ell, m, k = _cell_counts(spec.n)
+    cells = 4**ell
+    for p in spec.split_cells:
+        if type(p) is not int or not 0 <= p < cells:
+            raise ValueError(f"split cell {p!r} is not a position in [0, {cells})")
+    split = frozenset(spec.split_cells)
+    if len(split) != len(spec.split_cells):
+        raise ValueError("a split cell is repeated")
     if len(split) != k:
         raise ValueError("split-cell count does not match the regime")
-    radices = _radices(m, 4**spec.level, split)
+    radices = _radices(m, cells, split)
     if len(spec.choices) != len(radices):
         raise ValueError("choice vector length does not match the regime")
     for digit, radix in zip(spec.choices, radices):
         if not 0 <= digit < radix:
             raise ValueError(f"choice {digit} out of range for arity {radix}")
-    return m, split, radices
+    return ell, m, split, radices
 
 
 def variant_by_index(n: int, index: int) -> VariantSpec:
@@ -286,13 +242,13 @@ def variant_by_index(n: int, index: int) -> VariantSpec:
     digits = [0] * len(radices)
     for pos in range(len(radices) - 1, -1, -1):
         choice_code, digits[pos] = divmod(choice_code, radices[pos])
-    return VariantSpec(n, ell, level(n)[1], _cell_words(ell, picked), tuple(digits))
+    return VariantSpec(n, picked, tuple(digits))
 
 
 def variant_index(spec: VariantSpec) -> int:
     """Inverse of variant_by_index; raises ValueError on a malformed spec."""
-    _, split, radices = _checked(spec)
-    subset_rank = _rank_combination(4**spec.level, tuple(sorted(split)))
+    ell, _, split, radices = _checked(spec)
+    subset_rank = _rank_combination(4**ell, tuple(sorted(split)))
     code = 0
     for digit, radix in zip(spec.choices, radices):
         code = code * radix + digit
@@ -316,13 +272,17 @@ def spread_indices(total: int, cap: int) -> tuple[int, ...]:
 
 
 def lattice_row(ell: int) -> list[int]:
-    """The X of every depth-ell cell U_s[0,1], s in lexicographic order."""
-    return [s.lattice for s in _words(ell)]
+    """The X of every depth-ell cell U_s[0,1], s in lexicographic order:
+    the children s1 and s2 of a cell at X are at 3X and 3X + 2."""
+    row = [0]
+    for _ in range(ell):
+        row = [3 * x + d for x in row for d in (0, 2)]
+    return row
 
 
 @dataclass(frozen=True, slots=True)
 class Codebook:
-    """A finite set of codewords, stored sorted lexicographically by (x, y)."""
+    """A finite set of points, stored sorted lexicographically by (x, y)."""
 
     points: tuple[Point, ...]
 
@@ -373,8 +333,7 @@ class Codebook:
 def codebook_for(spec: VariantSpec) -> Codebook:
     """Assemble the codebook of a variant spec; raises ValueError on a
     malformed spec."""
-    m, split, _ = _checked(spec)
-    ell = spec.level
+    ell, m, split, _ = _checked(spec)
     row = lattice_row(ell)
     # Other cells hold m points and split cells m + 1; the cells with more
     # than one pattern take spec.choices in position order.
@@ -405,9 +364,7 @@ def codebook_for(spec: VariantSpec) -> Codebook:
     return Codebook(tuple([Point(coord[a], coord[b]) for a, b in pairs]))
 
 
-def optimal_codebook(n: int, variant: int | VariantSpec = 0) -> Codebook:
+def optimal_codebook(n: int, variant: int = 0) -> Codebook:
     """The variant's codebook; default is variant 0 (first subset, all
     choices 0).  n = 1 yields the mean point."""
-    if isinstance(variant, VariantSpec):
-        return codebook_for(variant)
     return codebook_for(variant_by_index(n, variant))

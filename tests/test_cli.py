@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -16,7 +17,7 @@ import pytest
 from cantorquant import cli
 from cantorquant.cli import main
 from cantorquant.measure import cell_interval
-from cantorquant.optimal import grid_cells, optimal_codebook
+from cantorquant.optimal import optimal_codebook
 from cantorquant.plot import (
     BOARD,
     CANVAS,
@@ -27,6 +28,7 @@ from cantorquant.plot import (
     _fixed3,
     render_svg,
 )
+from cantorquant.words import BinaryWord
 
 
 def run(capsys, *argv):
@@ -360,6 +362,45 @@ def test_unprintable_count_is_refused_before_it_is_computed(capsys, monkeypatch,
         code, "", message + "n=10000000 has a variant count of more than 4300 digits\n")
 
 
+@pytest.mark.parametrize("depth,drawn", [(10, True), (11, False), (40, False)])
+def test_plot_depth_is_capped_before_rendering(capsys, monkeypatch, depth, drawn):
+    # Depth 11 would be 4^11 rects, about 476 MB of text.
+    def fake(n, depth):
+        if not drawn:
+            raise AssertionError(f"render_svg({n}, {depth}) was called")
+        return "<svg/>\n"
+
+    monkeypatch.setattr(cli, "render_svg", fake)
+    rc, out, err = run(capsys, "plot", "2", "--depth", str(depth))
+    if drawn:
+        assert (rc, out, err) == (0, "<svg/>\n", "")
+    else:
+        assert (rc, out, err) == (1, "", f"refusing to draw the 4^{depth} cells of depth "
+                                  f"{depth}; use --depth 10 or less\n")
+
+
+def test_closed_stdout_exits_three_without_a_traceback():
+    # The output, 570 kB, is far larger than a pipe holds, and buffered
+    # stdout retries a short write, so writing fails once the reader has
+    # gone however the two processes are scheduled.  (Unbuffered stdout
+    # would drop the rest of a short write silently.)
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cantorquant", "optimal", "65", "--all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**env, "PYTHONPATH": str(root / "src")},
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 3
+        assert proc.stderr.read() == b"cannot write stdout: [Errno 32] Broken pipe\n"
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 class TestPlot:
     def test_cell_and_point_counts(self, capsys):
         rc, out, _ = run(capsys, "plot", "4", "--depth", "3")
@@ -398,6 +439,12 @@ def _to_canvas_x(x: Fraction) -> Fraction:
 def _to_canvas_y(y: Fraction) -> Fraction:
     # SVG grows downward; the measure's y axis grows upward.
     return MARGIN + (1 - y) * BOARD
+
+
+def grid_cells(ell):
+    """Every depth-ell cell address (s, t), in lexicographic order."""
+    words = [BinaryWord("".join(bits)) for bits in itertools.product("12", repeat=ell)]
+    return [(s, t) for s in words for t in words]
 
 
 def reference_svg(n, depth, variant=0):

@@ -1,5 +1,6 @@
 """Closed-form errors, variant counting and enumeration, codebook geometry."""
 
+import functools
 import itertools
 import json
 import math
@@ -21,7 +22,6 @@ from cantorquant.optimal import (
     lattice_row,
     codebook_for,
     count_variants,
-    grid_cells,
     level,
     optimal_codebook,
     quantization_error,
@@ -30,6 +30,20 @@ from cantorquant.optimal import (
     variant_index,
 )
 from cantorquant.words import BinaryWord
+
+
+@functools.lru_cache(maxsize=None)
+def grid_cells(ell):
+    """Every depth-ell cell address (s, t), in lexicographic order: the
+    cell at position p is grid_cells(ell)[p]."""
+    words = [BinaryWord("".join(bits)) for bits in itertools.product("12", repeat=ell)]
+    return tuple((s, t) for s in words for t in words)
+
+
+def split_addresses(spec):
+    """spec.split_cells as (s, t) addresses."""
+    cells = grid_cells(level(spec.n)[0])
+    return tuple(cells[p] for p in spec.split_cells)
 
 
 def balanced_split_error(n, cache={1: Fraction(1, 4), 2: Fraction(5, 36),
@@ -82,6 +96,23 @@ class TestClosedForm:
     def test_strictly_decreasing(self):
         values = [quantization_error(n) for n in range(1, 257)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_gains_are_non_increasing(self):
+        # V_n is convex in n: each extra point gains no more than the last.
+        values = [quantization_error(n) for n in range(1, 4**6 + 3)]
+        gains = [a - b for a, b in zip(values, values[1:])]
+        assert all(a >= b for a, b in zip(gains, gains[1:]))
+
+    def test_gain_per_band(self):
+        # At level ell an extra point turns a midpoint into an axis pair
+        # (4/36 at unit scale), an axis pair into a three-point set or a
+        # three-point set into the child grid (2/36 each), on a cell of
+        # scale 36^-ell.
+        for ell in range(6):
+            c, unit = 4**ell, Fraction(1, 36 ** (ell + 1))
+            for n in range(c, 4 * c):
+                step = 4 if n < 2 * c else 2
+                assert quantization_error(n) - quantization_error(n + 1) == step * unit, n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -190,6 +221,12 @@ class TestKnownCodebooks:
         cells = grid_cells(1)
         assert len(cells) == 4
         assert [str(s) + str(t) for s, t in cells] == ["11", "12", "21", "22"]
+        # Position p names cells[p]: n = 5 puts an axis pair on its one
+        # split cell and a midpoint on each other cell.
+        for p, (s, t) in enumerate(cells):
+            (x0, x1), (y0, y1) = cell_interval(s), cell_interval(t)
+            book = codebook_for(VariantSpec(5, (p,), (0,)))
+            assert sum(x0 <= q.x <= x1 and y0 <= q.y <= y1 for q in book) == 2
 
 
 class TestCodebookContainer:
@@ -270,16 +307,17 @@ def reference_choice_radices(n, regime, cells, split):
 
 
 def reference_codebook(spec):
-    cells = grid_cells(spec.level)
-    split = frozenset(spec.split_cells)
-    chosen, _ = reference_choice_radices(spec.n, spec.regime, cells, split)
+    ell, regime = level(spec.n)
+    cells = grid_cells(ell)
+    split = frozenset(split_addresses(spec))
+    chosen, _ = reference_choice_radices(spec.n, regime, cells, split)
     choice_of = dict(zip(chosen, spec.choices))
-    upper_band = spec.regime is Regime.HIGH and spec.n > 3 * len(cells)
+    upper_band = regime is Regime.HIGH and spec.n > 3 * len(cells)
     points = []
     for cell in cells:
-        if spec.regime is Regime.POWER:
+        if regime is Regime.POWER:
             points += reference_midpoint(cell)
-        elif spec.regime is Regime.LOW:
+        elif regime is Regime.LOW:
             points += (reference_axis_pair(cell, choice_of[cell]) if cell in split
                        else reference_midpoint(cell))
         elif upper_band:
@@ -376,28 +414,21 @@ class TestCombinationRanking:
 
 
 class TestMalformedSpec:
-    CELL = (BinaryWord("1"), BinaryWord("1"))
-
     @pytest.mark.parametrize("spec", [
-        # n = 3 lives at ell = 0: a depth-1 cell makes the book one point short.
-        VariantSpec(3, 0, Regime.HIGH, ((BinaryWord("1"), BinaryWord("1")),), (0,)),
-        # HIGH n = 9 at ell = 1 with a split cell whose words differ in depth.
-        VariantSpec(9, 1, Regime.HIGH, ((BinaryWord("11"), BinaryWord("1")),),
-                    (0, 0, 0, 0)),
-        VariantSpec(9, 1, Regime.HIGH, ((BinaryWord("1"), BinaryWord("")),),
-                    (0, 0, 0, 0)),
-        # A repeated cell.
-        VariantSpec(6, 1, Regime.LOW, (CELL, CELL), (0, 0)),
-        # A spec whose level or regime is not that of n.
-        VariantSpec(5, 0, Regime.LOW, ((BinaryWord(""), BinaryWord("")),), (0,)),
-        VariantSpec(5, 1, Regime.HIGH, (CELL,), (0, 0, 0, 0)),
+        # n = 3 lives at ell = 0, whose one cell is position 0.
+        VariantSpec(3, (1,), (0,)),
+        # n = 5 lives at ell = 1, with positions 0..3.
+        VariantSpec(5, (4,), (0,)),
+        VariantSpec(5, (-1,), (0,)),
+        # A cell address, not its position.
+        VariantSpec(5, ((BinaryWord("1"), BinaryWord("1")),), (0,)),
+        VariantSpec(6, (0, 0), (0, 0)),
         # Wrong split count, choice count or choice value.
-        VariantSpec(6, 1, Regime.LOW, (CELL,), (0,)),
-        VariantSpec(5, 1, Regime.LOW, (CELL,), (0, 0)),
-        VariantSpec(5, 1, Regime.LOW, (CELL,), (2,)),
-    ], ids=["deeper-cell-at-ell-0", "uneven-words", "shallow-word", "repeated-cell",
-            "wrong-level", "wrong-regime", "split-count", "choice-count",
-            "choice-value"])
+        VariantSpec(6, (0,), (0,)),
+        VariantSpec(5, (0,), (0, 0)),
+        VariantSpec(5, (0,), (2,)),
+    ], ids=["deeper-cell-at-ell-0", "out-of-range", "negative", "non-int",
+            "repeated-cell", "split-count", "choice-count", "choice-value"])
     def test_rejected_by_assembly_and_ranking(self, spec):
         with pytest.raises(ValueError):
             codebook_for(spec)
@@ -405,7 +436,7 @@ class TestMalformedSpec:
             variant_index(spec)
 
     def test_well_formed_spec_accepted(self):
-        spec = VariantSpec(5, 1, Regime.LOW, (self.CELL,), (1,))
+        spec = VariantSpec(5, (0,), (1,))
         assert len(codebook_for(spec)) == 5
         assert variant_by_index(5, variant_index(spec)) == spec
 
@@ -461,7 +492,7 @@ def reference_variant_by_index(n, index):
     for radix in reversed(radices):
         code, digit = divmod(code, radix)
         digits.append(digit)
-    return VariantSpec(n, ell, regime, split, tuple(reversed(digits)))
+    return split, tuple(reversed(digits))
 
 
 def around_powers(max_ell):
@@ -486,4 +517,6 @@ class TestPatternTableMatchesRegimeFormulas:
     def test_same_variant_specs(self):
         for n in range(2, 301):
             for i in spread_indices(count_variants(n), 4):
-                assert variant_by_index(n, i) == reference_variant_by_index(n, i), (n, i)
+                spec = variant_by_index(n, i)
+                expected = reference_variant_by_index(n, i)
+                assert (split_addresses(spec), spec.choices) == expected, (n, i)
