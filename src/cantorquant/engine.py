@@ -417,10 +417,6 @@ class RunRecord:
 
 @dataclass(frozen=True, slots=True)
 class MultistartResult:
-    n: int
-    seeds: int
-    rng_seed: int
-    depth: int
     runs: tuple[RunRecord, ...]
 
     @property
@@ -470,4 +466,4 @@ def multistart_search(n: int, seeds: int, rng_seed: int, depth: int) -> Multista
         else:
             status = RunStatus.CONVERGED if res.converged else RunStatus.MAX_ITERS
             runs.append(RunRecord(r, status, res.iterations, res.codebook, res.interval))
-    return MultistartResult(n, seeds, rng_seed, depth, tuple(runs))
+    return MultistartResult(tuple(runs))

@@ -75,10 +75,6 @@ class Point:
     x: Fraction
     y: Fraction
 
-    @classmethod
-    def of(cls, x, y) -> "Point":
-        return cls(Fraction(x), Fraction(y))
-
     def dist2(self, other: "Point") -> Fraction:
         """Squared Euclidean distance; no square roots anywhere."""
         dx = self.x - other.x

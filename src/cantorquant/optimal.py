@@ -15,11 +15,11 @@ has mass 4^-ell and scale 3^-ell, so with r(p) patterns of p points:
     error = ((4^ell - k) * e(m) + k * e(m+1)) / 36^ell,
     count = C(4^ell, k) * r(m+1)^k * r(m)^(4^ell - k).
 
-In the regimes of level(): POWER (n = 4^ell) has m = 1 and k = 0, so the
-codebook is unique; LOW (n <= 2*4^ell) has m = 1; HIGH has m = 2 up to
-n = 3*4^ell and m = 3 above it.  Admitting ell = 0 (the single empty
-cell) makes n = 1, 2 and 3 ordinary instances: n = 1 is POWER at ell = 0,
-whose codebook is the mean and whose error is the total variance 1/4.
+So n = 4^ell has m = 1 and k = 0, and its codebook is unique; m = 1 up
+to n = 2*4^ell, m = 2 up to n = 3*4^ell and m = 3 above it.  Admitting
+ell = 0 (the single empty cell) makes n = 1, 2 and 3 ordinary
+instances: n = 1 has its codebook at the mean and its error at the
+total variance 1/4.
 
 A cell carries a choice iff it has more than one pattern.  A depth-ell
 cell (s, t) is named by its position, its index in address order: the
@@ -37,32 +37,12 @@ denominator 2 * 3^(ell+1), with one Fraction per distinct numerator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .measure import Point
-
-
-class Regime(Enum):
-    POWER = "power"
-    LOW = "low"
-    HIGH = "high"
-
-
-def level(n: int) -> tuple[int, Regime]:
-    """Classify n >= 1 into (ell, regime); the regimes partition n >= 1."""
-    if n < 1:
-        raise ValueError(f"level requires n >= 1, got {n}")
-    ell = (n.bit_length() - 1) // 2
-    if n == 4**ell:
-        return ell, Regime.POWER
-    if n <= 2 * 4**ell:
-        return ell, Regime.LOW
-    return ell, Regime.HIGH
 
 
 # ============================================================
@@ -97,7 +77,9 @@ _CELL_ERROR = {1: Fraction(1, 4), 2: Fraction(5, 36), 3: Fraction(1, 12),
 def _cell_counts(n: int) -> tuple[int, int, int]:
     """(ell, m, k) for n >= 1: of the 4^ell cells of depth ell, k are
     split and hold m + 1 points, and the rest hold m."""
-    ell, _ = level(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    ell = (n.bit_length() - 1) // 2
     cells = 4**ell
     m = max(1, (n - 1) // cells)
     return ell, m, n - m * cells
@@ -119,12 +101,12 @@ class VariantSpec:
     the k cells holding m + 1 points, where every other cell holds m.
     A cell carries a choice iff it has more than one pattern, and
     ``choices`` holds one pattern index per such cell, in position
-    order.  So LOW (m = 1) chooses an axis pair, in {0,1}, on each split
-    cell; HIGH with m = 2 chooses on every cell, in {0,1,2,3} if split
-    (three-point set) else {0,1} (axis pair); HIGH with m = 3 chooses a
-    three-point set, in {0,1,2,3}, on each non-split cell, since the
-    child grid is unique.  POWER variants carry no choices.  level(n)
-    gives the level and regime.
+    order.  So m = 1 (n up to 2*4^ell) chooses an axis pair, in {0,1},
+    on each split cell; m = 2 (up to 3*4^ell) chooses on every cell, in
+    {0,1,2,3} if split (three-point set) else {0,1} (axis pair); m = 3
+    chooses a three-point set, in {0,1,2,3}, on each non-split cell,
+    since the child grid is unique.  n = 4^ell (k = 0, m = 1) carries
+    no choices.
     """
 
     n: int
@@ -296,38 +278,24 @@ class Codebook:
             raise ValueError("codebook must contain at least one point")
         return cls(ordered)
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
     def __len__(self) -> int:
         return len(self.points)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "points": [p.to_json() for p in self.points]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "Codebook":
-        """Read the to_json_obj form; raises ValueError or TypeError on bad input."""
+        """Read the form that ``optimal`` writes; raises ValueError or TypeError."""
         if not isinstance(obj, Mapping) or not isinstance(obj.get("points"), list):
             raise ValueError("a codebook must be an object with a list of points")
         book = cls.of(Point.from_json(entry) for entry in obj["points"])
         declared = obj.get("n")
         if declared is not None and type(declared) is not int:
             raise TypeError(f"codebook field n must be an integer, got {declared!r}")
-        if declared is not None and declared != book.n:
-            raise ValueError(f"codebook declares n={declared} but has {book.n} points")
+        if declared is not None and declared != len(book):
+            raise ValueError(f"codebook declares n={declared} but has {len(book)} points")
         return book
-
-    @classmethod
-    def from_json(cls, text: str) -> "Codebook":
-        return cls.from_json_obj(json.loads(text))
 
 
 def codebook_for(spec: VariantSpec) -> Codebook:

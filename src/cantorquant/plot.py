@@ -1,8 +1,8 @@
 """Deterministic SVG pictures of support cells and codebooks.
 
 Output is plain SVG 1.1 text built from exact rationals: coordinates
-are rounded once, to a fixed three-decimal grid, so a given (n, depth,
-variant) triple always renders byte-identical output on any platform.
+are rounded once, to a fixed three-decimal grid, so a given (n, depth)
+pair always renders byte-identical output on any platform.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ def _fixed3(num: int, den: int) -> str:
     return f"{sign}{whole}.{frac:03d}"
 
 
-def render_svg(n: int, depth: int, variant: int = 0) -> str:
-    """The depth-level support cells with the n-point codebook on top.
+def render_svg(n: int, depth: int) -> str:
+    """The depth-level support cells with n's variant-0 codebook on top.
 
     Exactly 4^depth <rect> elements and n <circle> elements, emitted in
     cell-address and codeword order.
@@ -39,7 +39,7 @@ def render_svg(n: int, depth: int, variant: int = 0) -> str:
         raise ValueError(f"render_svg requires n >= 1, got {n}")
     if depth < 1:
         raise ValueError(f"render_svg requires depth >= 1, got {depth}")
-    book = optimal_codebook(n, variant)
+    book = optimal_codebook(n)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{CANVAS}" height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from cantorquant import cli
-from cantorquant.cli import main
+from cantorquant.cli import build_parser, main
+from cantorquant.engine import CertifiedInterval, MultistartResult, RunRecord, RunStatus
 from cantorquant.measure import cell_interval
 from cantorquant.optimal import optimal_codebook
 from cantorquant.plot import (
@@ -247,6 +248,27 @@ class TestVerify:
         assert out.rstrip().splitlines()[-1] == (
             "RESULT: FAIL (multistart beat the closed form)")
 
+    def test_any_bound_below_the_closed_form_fails(self, capsys, monkeypatch):
+        # A certified upper bound is a real codebook's distortion, so one
+        # below V_n by any amount disproves the closed form.
+        upper = Fraction(5, 36) - Fraction(1, 10**12)
+        record = RunRecord(0, RunStatus.CONVERGED, 1, optimal_codebook(2),
+                           CertifiedInterval(upper, upper, True))
+        monkeypatch.setattr(cli, "multistart_search",
+                            lambda n, seeds, rng_seed, depth: MultistartResult((record,)))
+        rc, out, _ = run(capsys, "verify", "2", "--seeds", "1", "--depth", "12")
+        assert rc == 2
+        assert "multistart found a better codebook than the closed form by 1/1000000000000" in out
+        assert out.rstrip().splitlines()[-1] == (
+            "RESULT: FAIL (multistart beat the closed form)")
+
+    def test_has_no_tolerance(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "2", "--tol", "0"])
+        assert info.value.code == 1
+        assert capsys.readouterr().err.endswith(
+            "cantorquant: error: unrecognized arguments: --tol 0\n")
+
 
 @pytest.mark.parametrize("argv,code,message", [
     (["count", "20000"], 3, "cannot print the count: "),
@@ -305,10 +327,6 @@ FAILURES = {
     "distortion-tol-text": lambda d: (
         ["distortion", "--codebook", f"{d}/book.json", "--tol", "abc"], 1,
         "Invalid literal for Fraction: 'abc'"),
-    "verify-tol": lambda d: (
-        ["verify", "2", "--tol", "0"], 1, "tolerance must be positive, got 0"),
-    "verify-tol-text": lambda d: (
-        ["verify", "2", "--tol", "1/0"], 1, "zero denominator in '1/0'"),
     "optimal-out": lambda d: (
         ["optimal", "2", "--out", f"{d}/none/x.json"], 3,
         f"cannot write {d}/none/x.json: {_os_error(errno.ENOENT, f'{d}/none/x.json')}"),
@@ -379,13 +397,16 @@ def test_plot_depth_is_capped_before_rendering(capsys, monkeypatch, depth, drawn
                                   f"{depth}; use --depth 10 or less\n")
 
 
-def test_closed_stdout_exits_three_without_a_traceback():
-    # The output, 570 kB, is far larger than a pipe holds, and buffered
-    # stdout retries a short write, so writing fails once the reader has
-    # gone however the two processes are scheduled.  (Unbuffered stdout
-    # would drop the rest of a short write silently.)
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["unset", "1"])
+def test_closed_stdout_exits_three_without_a_traceback(unbuffered):
+    # The output, 570 kB, is far larger than a pipe holds, and every write
+    # is retried until it is taken whole, so writing fails once the reader
+    # has gone however the two processes are scheduled.  Unbuffered, the
+    # stdout file itself may take only part of a write.
     root = Path(__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
         [sys.executable, "-m", "cantorquant", "optimal", "65", "--all"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -555,3 +576,15 @@ def test_readme_library_sketch_runs():
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_commands_parse():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", readme, re.DOTALL)
+    commands = [line.split()[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("cantorquant ")]
+    assert len(commands) >= 9
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

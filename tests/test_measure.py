@@ -61,7 +61,8 @@ class TestRationalText:
 
 class TestPoint:
     def test_dist2(self):
-        assert Point.of(0, 0).dist2(Point.of(1, 1)) == 2
+        zero, one = Fraction(0), Fraction(1)
+        assert Point(zero, zero).dist2(Point(one, one)) == 2
         assert Point(HALF, HALF).dist2(Point(HALF, HALF)) == 0
 
     def test_json_roundtrip(self):

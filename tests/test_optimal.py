@@ -1,5 +1,6 @@
 """Closed-form errors, variant counting and enumeration, codebook geometry."""
 
+import enum
 import functools
 import itertools
 import json
@@ -9,11 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+from cantorquant.cli import main
 from cantorquant.engine import Cell
 from cantorquant.measure import Point, cantor_point, cell_interval
 from cantorquant.optimal import (
     Codebook,
-    Regime,
     VariantSpec,
     _cell_counts,
     _count_bits,
@@ -22,7 +23,6 @@ from cantorquant.optimal import (
     lattice_row,
     codebook_for,
     count_variants,
-    level,
     optimal_codebook,
     quantization_error,
     spread_indices,
@@ -30,6 +30,23 @@ from cantorquant.optimal import (
     variant_index,
 )
 from cantorquant.words import BinaryWord
+
+
+class Regime(enum.Enum):
+    POWER = "power"
+    LOW = "low"
+    HIGH = "high"
+
+
+def reference_level(n):
+    """(ell, regime) of n >= 1, found by stepping ell up while 4^(ell+1) <= n:
+    POWER is n = 4^ell, LOW n <= 2*4^ell and HIGH the rest."""
+    ell = 0
+    while 4 ** (ell + 1) <= n:
+        ell += 1
+    if n == 4**ell:
+        return ell, Regime.POWER
+    return ell, Regime.LOW if n <= 2 * 4**ell else Regime.HIGH
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,7 +59,7 @@ def grid_cells(ell):
 
 def split_addresses(spec):
     """spec.split_cells as (s, t) addresses."""
-    cells = grid_cells(level(spec.n)[0])
+    cells = grid_cells(reference_level(spec.n)[0])
     return tuple(cells[p] for p in spec.split_cells)
 
 
@@ -57,21 +74,29 @@ def balanced_split_error(n, cache={1: Fraction(1, 4), 2: Fraction(5, 36),
     return cache[n]
 
 
+# (n, ell, m, k), each row labelled by the regime of the reference
+# formulas below that it exemplifies.
+CELL_COUNTS = [
+    (2, 0, 1, 1, Regime.LOW), (3, 0, 2, 1, Regime.HIGH), (4, 1, 1, 0, Regime.POWER),
+    (5, 1, 1, 1, Regime.LOW), (8, 1, 1, 4, Regime.LOW), (9, 1, 2, 1, Regime.HIGH),
+    (13, 1, 3, 1, Regime.HIGH), (15, 1, 3, 3, Regime.HIGH), (16, 2, 1, 0, Regime.POWER),
+    (17, 2, 1, 1, Regime.LOW), (63, 2, 3, 15, Regime.HIGH), (64, 3, 1, 0, Regime.POWER),
+    (1, 0, 1, 0, Regime.POWER),
+]
+
+
 class TestLevel:
-    @pytest.mark.parametrize(
-        "n,ell,regime",
-        [(2, 0, Regime.LOW), (3, 0, Regime.HIGH), (4, 1, Regime.POWER),
-         (5, 1, Regime.LOW), (8, 1, Regime.LOW), (9, 1, Regime.HIGH),
-         (13, 1, Regime.HIGH), (15, 1, Regime.HIGH), (16, 2, Regime.POWER),
-         (17, 2, Regime.LOW), (63, 2, Regime.HIGH), (64, 3, Regime.POWER),
-         (1, 0, Regime.POWER)],
-    )
-    def test_examples(self, n, ell, regime):
-        assert level(n) == (ell, regime)
+    @pytest.mark.parametrize("n,ell,m,k,regime", [
+        pytest.param(*row, id=f"{row[0]}-{row[1]}-{row[4]}") for row in CELL_COUNTS])
+    def test_examples(self, n, ell, m, k, regime):
+        assert _cell_counts(n) == (ell, m, k)
+        assert reference_level(n) == (ell, regime)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            level(0)
+        for function in (_cell_counts, quantization_error, count_variants, optimal_codebook):
+            for n in (0, -1):
+                with pytest.raises(ValueError):
+                    function(n)
 
 
 class TestClosedForm:
@@ -231,23 +256,24 @@ class TestKnownCodebooks:
 
 class TestCodebookContainer:
     def test_sorted_and_sized(self):
-        book = Codebook.of([Point.of(1, 0), Point.of(0, 1)])
-        assert book.n == 2
-        assert list(book)[0] == Point.of(0, 1)
+        one, zero = Fraction(1), Fraction(0)
+        book = Codebook.of([Point(one, zero), Point(zero, one)])
+        assert len(book) == 2
+        assert list(book)[0] == Point(zero, one)
 
     def test_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
             Codebook.of([])
         with pytest.raises(ValueError):
-            Codebook.of([Point.of(0, 0), Point.of(0, 0)])
+            Codebook.of([Point(Fraction(0), Fraction(0))] * 2)
 
-    def test_json_roundtrip(self):
-        book = optimal_codebook(5, 3)
-        again = Codebook.from_json(book.to_json())
-        assert again == book
-        obj = json.loads(book.to_json())
+    def test_json_roundtrip(self, tmp_path):
+        # The CLI writes the file; the library reads it back.
+        path = tmp_path / "book.json"
+        assert main(["optimal", "5", "--variant", "3", "--out", str(path)]) == 0
+        obj = json.loads(path.read_text(encoding="utf-8"))
         assert obj["n"] == 5
-        assert len(obj["points"]) == 5
+        assert Codebook.from_json_obj(obj) == optimal_codebook(5, 3)
 
     def test_json_n_mismatch(self):
         obj = {"n": 3, "points": [{"x": "0", "y": "0"}]}
@@ -307,7 +333,7 @@ def reference_choice_radices(n, regime, cells, split):
 
 
 def reference_codebook(spec):
-    ell, regime = level(spec.n)
+    ell, regime = reference_level(spec.n)
     cells = grid_cells(ell)
     split = frozenset(split_addresses(spec))
     chosen, _ = reference_choice_radices(spec.n, regime, cells, split)
@@ -457,7 +483,7 @@ def reference_split_count(n, ell, regime):
 def reference_quantization_error(n):
     if n == 1:
         return Fraction(1, 4)
-    ell, regime = level(n)
+    ell, regime = reference_level(n)
     if regime is Regime.POWER:
         return Fraction(1, 4) * Fraction(1, 9**ell)
     if regime is Regime.LOW:
@@ -467,7 +493,7 @@ def reference_quantization_error(n):
 
 
 def reference_count_variants(n):
-    ell, regime = level(n)
+    ell, regime = reference_level(n)
     cells = 4**ell
     k = reference_split_count(n, ell, regime)
     if regime is Regime.POWER:
@@ -480,7 +506,7 @@ def reference_count_variants(n):
 
 
 def reference_variant_by_index(n, index):
-    ell, regime = level(n)
+    ell, regime = reference_level(n)
     cells = grid_cells(ell)
     k = reference_split_count(n, ell, regime)
     per_subset = reference_count_variants(n) // math.comb(len(cells), k)
