@@ -38,10 +38,12 @@ from .measure import format_rational, parse_rational
 from .optimal import (
     Codebook,
     _count_bits,
+    _numerators,
     count_variants,
     optimal_codebook,
     quantization_error,
     spread_indices,
+    variant_by_index,
 )
 from .plot import render_svg
 
@@ -137,13 +139,6 @@ def _count_text(n: int, code: int, prefix: str) -> tuple[int, str]:
     return total, _text(total, n, code, prefix)
 
 
-def _points_csv(book: Codebook, variant: int) -> list[str]:
-    return [
-        f"{variant},{format_rational(p.x)},{format_rational(p.y)}"
-        for p in book
-    ]
-
-
 def _json_object(fields: list[tuple[str, str]], pad: str) -> str:
     """A JSON object laid out as json.dumps(..., indent=2) lays it out
     when nested at indent pad; keys are plain names, values JSON text."""
@@ -152,21 +147,30 @@ def _json_object(fields: list[tuple[str, str]], pad: str) -> str:
     return f"{{\n{body}\n{pad}}}"
 
 
-def _json_list(items: list[str], pad: str) -> str:
-    """A non-empty JSON list of JSON texts, laid out like _json_object."""
-    inner = pad + "  "
-    return "[\n" + ",\n".join(inner + item for item in items) + f"\n{pad}]"
+def _json_list(items, pad: str) -> str:
+    """A non-empty JSON list of JSON texts, each already indented by
+    pad + "  ", laid out like _json_object."""
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
-def _json_points(book: Codebook, pad: str) -> str:
+def _codebooks(n: int, indices: range, text):
+    """(i, pairs, texts) per variant index i of n, as it is unranked: the
+    numerator pairs of its codebook and text(coordinate) per numerator.
+    Every variant of n has the same denominator and numerators, so text
+    runs once per numerator, not once per point."""
+    texts = None
+    for i in indices:
+        q, numerators, pairs = _numerators(variant_by_index(n, i))
+        if texts is None:
+            texts = {a: text(Fraction(a, q)) for a in numerators}
+        yield i, pairs, texts
+
+
+def _json_points(pairs: list[tuple[int, int]], texts: dict, pad: str) -> str:
     """The points as a list of {"x": ..., "y": ...}, laid out like _json_object."""
     inner, key = pad + "  ", pad + "    "
     return _json_list(
-        [
-            f'{{\n{key}"x": {json.dumps(format_rational(p.x))},\n'
-            f'{key}"y": {json.dumps(format_rational(p.y))}\n{inner}}}'
-            for p in book
-        ],
+        [f'{inner}{{\n{key}"x": {texts[a]},\n{key}"y": {texts[b]}\n{inner}}}' for a, b in pairs],
         pad,
     )
 
@@ -196,21 +200,21 @@ def cmd_optimal(args: argparse.Namespace) -> int:
             f"approx={approx_str(error)}",
             "variant,x,y",
         ]
-        for i in indices:
-            lines.extend(_points_csv(optimal_codebook(n, i), i))
+        for i, pairs, texts in _codebooks(n, indices, format_rational):
+            lines.extend([f"{i},{texts[a]},{texts[b]}" for a, b in pairs])
         return _emit("\n".join(lines) + "\n", args.out)
-    books = [(i, optimal_codebook(n, i)) for i in indices]
+    variants = _codebooks(n, indices, lambda value: json.dumps(format_rational(value)))
     if args.all:
         head = ("count", json.dumps(total))
-        codebooks = [
-            _json_object([("variant", json.dumps(i)), ("points", _json_points(book, "      "))], "    ")
-            for i, book in books
-        ]
-        body = ("codebooks", _json_list(codebooks, "  "))
+        body = ("codebooks", _json_list(
+            ("    " + _json_object([("variant", json.dumps(i)),
+                                    ("points", _json_points(pairs, texts, "      "))], "    ")
+             for i, pairs, texts in variants),
+            "  "))
     else:
-        i, book = books[0]
+        i, pairs, texts = next(variants)
         head = ("variant", json.dumps(i))
-        body = ("points", _json_points(book, "  "))
+        body = ("points", _json_points(pairs, texts, "  "))
     fields = [
         ("n", json.dumps(n)),
         head,

@@ -30,9 +30,11 @@ lexicographic order of their sorted positions, then the choices of the
 choice-carrying cells, in position order, as one mixed-radix number.
 The index <-> VariantSpec mapping is part of the public contract.
 
-Subsets are ranked and unranked in the combinatorial number system, and
-codebooks are assembled as integer numerator pairs over the common
-denominator 2 * 3^(ell+1), with one Fraction per distinct numerator.
+Subsets are ranked and unranked in the combinatorial number system.
+Codebooks are assembled on one path, _numerators, as sorted integer
+numerator pairs over the common denominator 2 * 3^(ell+1); codebook_for
+builds one Fraction per distinct numerator, and the CLI and plot write
+their text straight from the pairs.
 """
 
 from __future__ import annotations
@@ -298,25 +300,21 @@ class Codebook:
         return book
 
 
-def codebook_for(spec: VariantSpec) -> Codebook:
-    """Assemble the codebook of a variant spec; raises ValueError on a
-    malformed spec."""
+def _numerators(spec: VariantSpec) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """q = 2 * 3^(ell+1), the 3 * 2^ell coordinate numerators 6X + 1, 6X + 3
+    and 6X + 5 over the X of lattice_row(ell), in increasing order, and the
+    sorted, distinct numerator pairs over q of the spec's codebook: the one
+    assembly path.  Raises ValueError on a malformed spec."""
     ell, m, split, _ = _checked(spec)
-    row = lattice_row(ell)
     # Other cells hold m points and split cells m + 1; the cells with more
     # than one pattern take spec.choices in position order.
     table = (_PATTERNS[m], _PATTERNS[m + 1])
     digits = iter(spec.choices)
-    pairs: list[tuple[int, int]] = []
-    cell = 0
-    for sx in row:
-        x = 6 * sx
-        for sy in row:
-            patterns = table[cell in split]
-            pattern = patterns[next(digits)] if len(patterns) > 1 else patterns[0]
-            y = 6 * sy
-            pairs.extend((x + dx, y + dy) for dx, dy in pattern)
-            cell += 1
+    chosen = iter([pats[next(digits)] if len(pats) > 1 else pats[0]
+                   for pats in [table[cell in split] for cell in range(4**ell)]])
+    # line[d] is 6X + d, one int shared by every pair on that line.
+    lines = [tuple(range(6 * v, 6 * v + 6)) for v in lattice_row(ell)]
+    pairs = [(x[dx], y[dy]) for x in lines for y in lines for dx, dy in next(chosen)]
     # Over the common denominator q, integer order is point order, so the
     # sorted pairs give Codebook.of's sorted, distinct points without
     # comparing Fractions.
@@ -324,8 +322,14 @@ def codebook_for(spec: VariantSpec) -> Codebook:
     for a, b in zip(pairs, pairs[1:]):
         if a == b:
             raise ValueError(f"duplicate codeword numerators {a}")
-    q = 2 * 3 ** (ell + 1)
-    coord = {a: Fraction(a, q) for a in (6 * v + d for v in row for d in (1, 3, 5))}
+    return 2 * 3 ** (ell + 1), [line[d] for line in lines for d in (1, 3, 5)], pairs
+
+
+def codebook_for(spec: VariantSpec) -> Codebook:
+    """Assemble the codebook of a variant spec; raises ValueError on a
+    malformed spec."""
+    q, numerators, pairs = _numerators(spec)
+    coord = {a: Fraction(a, q) for a in numerators}
     # From a list, tuple() allocates the exact size.  A tuple grown from a
     # generator is resized, and once freed it stays on CPython's free list
     # of its size, so a long run's memory would grow with its codebooks.

@@ -7,7 +7,7 @@ pair always renders byte-identical output on any platform.
 
 from __future__ import annotations
 
-from .optimal import lattice_row, optimal_codebook
+from .optimal import _numerators, lattice_row, variant_by_index
 
 MARGIN = 20
 BOARD = 600
@@ -39,39 +39,29 @@ def render_svg(n: int, depth: int) -> str:
         raise ValueError(f"render_svg requires n >= 1, got {n}")
     if depth < 1:
         raise ValueError(f"render_svg requires depth >= 1, got {depth}")
-    book = optimal_codebook(n)
+    q, numerators, pairs = _numerators(variant_by_index(n, 0))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{CANVAS}" height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',
     ]
     # The cell U_s[0,1] x U_t[0,1] is [X, X+1] x [Y, Y+1] * 3^-depth, so
     # every rect uses one of 2^depth left edges, one of 2^depth top edges
-    # and the one side length.  A canvas point is (MARGIN + x * BOARD,
-    # MARGIN + (1 - y) * BOARD): SVG grows downward, the measure's y
-    # axis upward.
+    # and the one side length, and each column of rects is one join over
+    # the tops.  A canvas point is (MARGIN + x * BOARD, MARGIN + (1 - y) *
+    # BOARD): SVG grows downward, the measure's y axis upward.
     side = 3**depth
     lattice = lattice_row(depth)
-    lefts = [_fixed3(MARGIN * side + BOARD * v, side) for v in lattice]
     tops = [_fixed3(MARGIN * side + BOARD * (side - v - 1), side) for v in lattice]
     size = _fixed3(BOARD, side)
-    for x in lefts:
-        for y in tops:
-            lines.append(
-                f'  <rect x="{x}" y="{y}" width="{size}" height="{size}" {CELL_STYLE}/>'
-            )
-    # An optimal codebook has at most 3 * 2^ell distinct coordinates per
-    # axis, so each is formatted once.
-    xs: dict[tuple[int, int], str] = {}
-    ys: dict[tuple[int, int], str] = {}
-    for p in book:
-        x = p.x.numerator, p.x.denominator
-        y = p.y.numerator, p.y.denominator
-        if x not in xs:
-            xs[x] = _fixed3(MARGIN * x[1] + BOARD * x[0], x[1])
-        if y not in ys:
-            ys[y] = _fixed3(MARGIN * y[1] + BOARD * (y[1] - y[0]), y[1])
-        lines.append(
-            f'  <circle cx="{xs[x]}" cy="{ys[y]}" r="{DOT_RADIUS}" {DOT_STYLE}/>'
-        )
+    tail = f'" width="{size}" height="{size}" {CELL_STYLE}/>'
+    for v in lattice:
+        head = f'  <rect x="{_fixed3(MARGIN * side + BOARD * v, side)}" y="'
+        lines.append(head + f"{tail}\n{head}".join(tops) + tail)
+    # Every coordinate is one of 3 * 2^ell numerators over q, so each is
+    # formatted once per axis.
+    xs = {a: _fixed3(MARGIN * q + BOARD * a, q) for a in numerators}
+    ys = {a: _fixed3(MARGIN * q + BOARD * (q - a), q) for a in numerators}
+    lines.extend([f'  <circle cx="{xs[a]}" cy="{ys[b]}" r="{DOT_RADIUS}" {DOT_STYLE}/>'
+                  for a, b in pairs])
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

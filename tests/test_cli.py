@@ -17,8 +17,8 @@ import pytest
 from cantorquant import cli
 from cantorquant.cli import build_parser, main
 from cantorquant.engine import CertifiedInterval, MultistartResult, RunRecord, RunStatus
-from cantorquant.measure import cell_interval
-from cantorquant.optimal import optimal_codebook
+from cantorquant.measure import cell_interval, format_rational
+from cantorquant.optimal import count_variants, optimal_codebook, quantization_error, spread_indices
 from cantorquant.plot import (
     BOARD,
     CANVAS,
@@ -494,6 +494,8 @@ def reference_svg(n, depth, variant=0):
 class TestRenderMatchesReference:
     @pytest.mark.parametrize("n,depth", [
         (1, 1), (2, 1), (5, 2), (9, 3), (37, 4), (100, 5), (3000, 5), (7, 6),
+        # m = 2 and m = 3 at ell = 1 and ell = 4, and the ell = 5 boundary.
+        (10, 3), (14, 2), (600, 4), (900, 4), (4095, 5), (4096, 5), (4097, 5),
     ])
     def test_byte_identical(self, n, depth):
         assert render_svg(n, depth) == reference_svg(n, depth)
@@ -521,6 +523,57 @@ class TestFixedPointRounding:
             den = rng.randint(1, 10**rng.randint(1, 12))
             num = rng.randint(-(10**13), 10**13)
             assert _fixed3(num, den) == _fmt(Fraction(num, den)), (num, den)
+
+
+# The optimal writers before they formatted numerators: every point from
+# optimal_codebook's Fractions, JSON laid out by json.dumps(indent=2).
+
+def reference_optimal(n, indices, fmt, enumerate_all):
+    error, total = quantization_error(n), count_variants(n)
+    if fmt == "csv":
+        lines = [f"# n={n} count={total} error={format_rational(error)} "
+                 f"approx={cli.approx_str(error)}", "variant,x,y"]
+        for i in indices:
+            lines += [f"{i},{format_rational(p.x)},{format_rational(p.y)}"
+                      for p in optimal_codebook(n, i)]
+        return "\n".join(lines) + "\n"
+    obj = {"n": n}
+    if enumerate_all:
+        obj["count"] = total
+    else:
+        obj["variant"] = indices[0]
+    obj["error"] = format_rational(error)
+    obj["error_approx"] = cli.approx_str(error)
+    books = [{"variant": i, "points": [p.to_json() for p in optimal_codebook(n, i)]}
+             for i in indices]
+    if enumerate_all:
+        obj["codebooks"] = books
+    else:
+        obj["points"] = books[0]["points"]
+    return json.dumps(obj, indent=2) + "\n"
+
+
+class TestOptimalWritersMatchReference:
+    # Every n <= 70 with at most 2,000 variants, and ell = 3 -> 4.
+    ALL = [n for n in range(1, 71) if count_variants(n) <= 2000] + [255, 256, 257]
+
+    def test_all_corpus_size(self):
+        assert len(self.ALL) == 25
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", ALL)
+    def test_all(self, capsys, n, fmt):
+        rc, out, err = run(capsys, "optimal", str(n), "--all", "--format", fmt)
+        assert (rc, err) == (0, "")
+        assert out == reference_optimal(n, range(count_variants(n)), fmt, True)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 4095, 4096, 4097])
+    def test_spread_variants(self, capsys, n, fmt):
+        for i in spread_indices(count_variants(n), 3):
+            rc, out, err = run(capsys, "optimal", str(n), "--variant", str(i), "--format", fmt)
+            assert (rc, err) == (0, "")
+            assert out == reference_optimal(n, [i], fmt, False), i
 
 
 # SHA-256 of the output of the renderer and enumeration before they moved

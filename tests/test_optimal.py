@@ -18,6 +18,7 @@ from cantorquant.optimal import (
     VariantSpec,
     _cell_counts,
     _count_bits,
+    _numerators,
     _rank_combination,
     _unrank_combination,
     lattice_row,
@@ -356,16 +357,32 @@ def reference_codebook(spec):
     return Codebook.of(points)
 
 
+LATTICE_CORPUS = pytest.mark.parametrize("ns", [
+    range(2, 100), range(100, 200), range(200, 301),
+    (1023, 1024, 1025, 2047, 2048, 2049, 3071, 3072, 3073, 4095),
+], ids=["2-99", "100-199", "200-300", "ell-5-boundaries"])
+
+
 class TestLatticeAssembly:
-    @pytest.mark.parametrize("ns", [
-        range(2, 100), range(100, 200), range(200, 301),
-        (1023, 1024, 1025, 2047, 2048, 2049, 3071, 3072, 3073, 4095),
-    ], ids=["2-99", "100-199", "200-300", "ell-5-boundaries"])
+    @LATTICE_CORPUS
     def test_matches_cantor_point_reference(self, ns):
         for n in ns:
             for i in spread_indices(count_variants(n), 4):
                 spec = variant_by_index(n, i)
                 assert codebook_for(spec) == reference_codebook(spec), (n, i)
+
+    @LATTICE_CORPUS
+    def test_numerators_give_the_codebook(self, ns):
+        for n in ns:
+            ell = _cell_counts(n)[0]
+            for i in spread_indices(count_variants(n), 4):
+                spec = variant_by_index(n, i)
+                q, numerators, pairs = _numerators(spec)
+                assert q == 2 * 3 ** (ell + 1)
+                assert numerators == [6 * x + d for x in lattice_row(ell) for d in (1, 3, 5)]
+                assert pairs == sorted(set(pairs)) and len(pairs) == n, (n, i)
+                assert codebook_for(spec).points == tuple(
+                    Point(Fraction(a, q), Fraction(b, q)) for a, b in pairs), (n, i)
 
     def test_lattice_inverts_cell_address(self):
         for depth in range(7):
@@ -456,6 +473,8 @@ class TestMalformedSpec:
     ], ids=["deeper-cell-at-ell-0", "out-of-range", "negative", "non-int",
             "repeated-cell", "split-count", "choice-count", "choice-value"])
     def test_rejected_by_assembly_and_ranking(self, spec):
+        with pytest.raises(ValueError):
+            _numerators(spec)
         with pytest.raises(ValueError):
             codebook_for(spec)
         with pytest.raises(ValueError):
