@@ -139,12 +139,15 @@ def _count_text(n: int, code: int, prefix: str) -> tuple[int, str]:
     return total, _text(total, n, code, prefix)
 
 
-def _json_object(fields: list[tuple[str, str]], pad: str) -> str:
+def _json_object(fields: list[tuple[str, str]], pad: str, end: str = "") -> str:
     """A JSON object laid out as json.dumps(..., indent=2) lays it out
-    when nested at indent pad; keys are plain names, values JSON text."""
-    inner = pad + "  "
-    body = ",\n".join(f'{inner}"{key}": {value}' for key, value in fields)
-    return f"{{\n{body}\n{pad}}}"
+    when nested at indent pad, then end; keys are plain names, values JSON
+    text.  One join, so a long value is not copied twice."""
+    parts = []
+    for key, value in fields:
+        parts += (",\n" if parts else "{\n", f'{pad}  "{key}": ', value)
+    parts.append(f"\n{pad}}}{end}")
+    return "".join(parts)
 
 
 def _json_list(items, pad: str) -> str:
@@ -202,7 +205,10 @@ def cmd_optimal(args: argparse.Namespace) -> int:
         ]
         for i, pairs, texts in _codebooks(n, indices, format_rational):
             lines.extend([f"{i},{texts[a]},{texts[b]}" for a, b in pairs])
-        return _emit("\n".join(lines) + "\n", args.out)
+        lines.append("")
+        text = "\n".join(lines)
+        del lines  # so that only the text and its bytes are alive in _emit
+        return _emit(text, args.out)
     variants = _codebooks(n, indices, lambda value: json.dumps(format_rational(value)))
     if args.all:
         head = ("count", json.dumps(total))
@@ -222,7 +228,9 @@ def cmd_optimal(args: argparse.Namespace) -> int:
         ("error_approx", json.dumps(approx_str(error))),
         body,
     ]
-    return _emit(_json_object(fields, "") + "\n", args.out)
+    text = _json_object(fields, "", "\n")
+    del fields, body  # so that only the text and its bytes are alive in _emit
+    return _emit(text, args.out)
 
 
 def cmd_error(args: argparse.Namespace) -> int:

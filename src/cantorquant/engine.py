@@ -9,20 +9,21 @@ integers.  Each cell is filtered against z, the active codeword nearest
 its midpoint: a codeword is discarded when z is weakly closer on the
 whole cell rectangle, which one corner decides, since the closer-to-z
 set is a half-plane (the filtering algorithm of Kanungo et al., TPAMI
-2002).  That keeps the owners and bounds of testing every pair:
-domination is transitive, z is never dominated, so each extra survivor
-is dominated by one that the all-pairs test keeps.  A cell with a single
-survivor is owned outright and contributes a closed-form integral; a
-contested cell splits into its four children.  Contested cells at the
-depth limit contribute certified lower and upper bounds instead, so the
-result is always a correct enclosure, and it is exact whenever the
-recursion terminates.
+2002), which keeps the owners and bounds of testing every pair (see
+_LatticeBook).  A cell with a single survivor is owned outright and
+contributes a closed-form integral; a contested cell splits into its
+four children.  Contested cells at the depth limit contribute certified
+lower and upper bounds instead, so the result is always a correct
+enclosure, and it is exact whenever the recursion terminates.
 
-The walks run in exact integer arithmetic.  Distances appear only
-squared; no roots, no rounding.  exact_distortion sums its bounds as
-integers in the unit 1/(4 * 36^deep * D^2), D the codebook's common
-denominator and deep the depth of the deepest cell met so far, and
-turns them into Fractions once, at return.
+Two walks share the one filter kernel, _LatticeBook.split: the
+best-first exact_distortion and the depth-first _walk under
+iter_assignments and lloyd_step.  Both carry cells as bare (depth, x, y)
+integers; a Cell is built only where the API returns or names one.
+Distances appear only squared; no roots, no rounding.  exact_distortion
+sums its bounds as integers in the unit 1/(4 * 36^deep * D^2), D the
+codebook's common denominator and deep the depth of the deepest cell
+met so far, and turns them into Fractions once, at return.
 """
 
 from __future__ import annotations
@@ -107,48 +108,52 @@ class _LatticeBook:
             for p in points
         ]
         self.norms = [a * a + b * b for a, b in self.coords]
+        self.scaled = [(2 * d * a, 2 * d * b) for a, b in self.coords]  # u = 2D P_i - 2D P_j
 
-    def survivors(self, cell: Cell, active: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-        """z, the active codeword nearest the cell midpoint (the earliest on
-        ties), its squared distance to the midpoint in units of
-        1/(2 * 3^d * D)^2, and the active codewords that z does not dominate
-        on the cell.
-
-        Dropped codewords cannot own any point of the cell.
-        """
-        d, coords, norms = self.scale, self.coords, self.norms
-        x, y, s = cell.x, cell.y, 3**cell.depth
+    def split(self, depth: int, x: int, y: int, active: tuple[int, ...]) -> tuple:
+        """(z, gap, survivors) for the depth-d cell at (x, y): z is the
+        active codeword nearest the midpoint (the earliest on ties), gap its
+        squared distance to the midpoint in units of 1/(2 * 3^d * D)^2, and
+        the survivors the active codewords that z does not dominate on the
+        cell.  Dropped codewords cannot own any point of the cell."""
+        coords, d, s = self.coords, self.scale, 3**depth
         cx, cy, s2 = (2 * x + 1) * d, (2 * y + 1) * d, 2 * s
         z = best = None
         for i in active:
             a, b = coords[i]
-            gap = (cx - s2 * a) ** 2 + (cy - s2 * b) ** 2
+            ex, ey = cx - s2 * a, cy - s2 * b
+            gap = ex * ex + ey * ey
             if best is None or gap < best:
                 z, best = i, gap
-        xz, yz = coords[z]
+        if len(active) == 1:
+            return z, best, active
+        scaled, norms = self.scaled, self.norms
+        (xz, yz), kz = scaled[z], s * norms[z]
         keep = []
         for i in active:
-            xi, yi = coords[i]
-            ux, uy = 2 * d * (xi - xz), 2 * d * (yi - yz)
-            if i == z or x * ux + y * uy + max(ux, 0) + max(uy, 0) > s * (norms[i] - norms[z]):
+            xi, yi = scaled[i]
+            ux, uy = xi - xz, yi - yz
+            if i == z or (x * ux + y * uy + (ux if ux > 0 else 0) + (uy if uy > 0 else 0)
+                          > s * norms[i] - kz):
                 keep.append(i)
         return z, best, tuple(keep)
 
-    def lower_gap(self, cell: Cell, active: tuple[int, ...]) -> int:
-        """Squared distance from the cell rectangle to its nearest active
-        codeword, in the units of survivors' midpoint gap."""
-        d = self.scale
-        s2 = 2 * 3**cell.depth
-        x0, y0, side = 2 * cell.x * d, 2 * cell.y * d, 2 * d
-        return min(
-            _outside(x0, x0 + side, s2 * a) ** 2 + _outside(y0, y0 + side, s2 * b) ** 2
-            for a, b in (self.coords[i] for i in active)
-        )
-
-
-def _outside(lo: int, hi: int, v: int) -> int:
-    """Distance from v to the interval [lo, hi]."""
-    return lo - v if v < lo else v - hi if v > hi else 0
+    def lower_gap(self, depth: int, x: int, y: int, active: tuple[int, ...]) -> int:
+        """Squared distance from the depth-d cell at (x, y) to its nearest
+        active codeword, in the units of split's midpoint gap."""
+        coords, d, s2 = self.coords, self.scale, 2 * 3**depth
+        x0, y0 = 2 * x * d, 2 * y * d
+        x1, y1 = x0 + 2 * d, y0 + 2 * d
+        best = None
+        for i in active:
+            a, b = coords[i]
+            a, b = s2 * a, s2 * b
+            ex = x0 - a if a < x0 else a - x1 if a > x1 else 0
+            ey = y0 - b if b < y0 else b - y1 if b > y1 else 0
+            gap = ex * ex + ey * ey
+            if best is None or gap < best:
+                best = gap
+        return best
 
 
 class ResolutionError(Exception):
@@ -239,48 +244,69 @@ def exact_distortion(
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+    tol_num, tol_den = tolerance.numerator, tolerance.denominator
     book = _LatticeBook(codebook.points)
     d2 = book.scale**2
     # Bounds are numerators over unit = 4 * 36^deep * D^2; a depth-c
-    # numerator is lifted to it by 36^(deep - c).  A new cell is a child of
-    # a popped one, so it is at most one level below deep.  Contested cells, queued
-    # or frozen at the depth limit, are open, and each has lo < up, since
-    # lo <= f * gap < f * (d2 + gap) = up.
+    # numerator is lifted to it by f = 36^(deep - c).  New cells are the
+    # children of a popped one, so they are at most one level below deep.
+    # Contested cells, queued or frozen at the depth limit, are open, and
+    # each has lo < up, since lo <= f * gap < f * (d2 + gap) = up.
     deep, unit = 0, 4 * d2
     resolved = open_lo = open_up = 0
     heap: list[tuple] = []
     tick = itertools.count()
-
-    def consider(cell: Cell, active: tuple[int, ...]) -> None:
-        nonlocal deep, unit, resolved, open_lo, open_up
-        if cell.depth > deep:
-            deep, unit = cell.depth, 36 * unit
+    # Each pass splits the root, or the four children of a popped cell.
+    depth, cells, active = 0, ((0, 0),), tuple(range(len(codebook)))
+    while True:
+        if depth > deep:
+            deep, unit = depth, 36 * unit
             resolved, open_lo, open_up = 36 * resolved, 36 * open_lo, 36 * open_up
-            heap[:] = [(36 * key, t, c, s, 36 * lo, 36 * up) for key, t, c, s, lo, up in heap]
-        f = 36 ** (deep - cell.depth)
-        _, gap, surv = book.survivors(cell, active)
-        up = (d2 + gap) * f
-        if len(surv) == 1:
-            resolved += up
-            return
-        lo = book.lower_gap(cell, surv) * f
-        open_lo += lo
-        open_up += up
-        if cell.depth < max_depth:
-            heapq.heappush(heap, (lo - up, next(tick), cell, surv, lo, up))
-
-    consider(Cell(0, 0, 0), tuple(range(len(codebook))))
-    while heap and (open_up - open_lo) * tolerance.denominator > tolerance.numerator * unit:
-        _, _, cell, surv, lo, up = heapq.heappop(heap)
+            heap[:] = [(36 * key, t, c, x, y, s, 36 * lo, 36 * up)
+                       for key, t, c, x, y, s, lo, up in heap]
+        f = 36 ** (deep - depth)
+        for x, y in cells:
+            _, gap, surv = book.split(depth, x, y, active)
+            up = (d2 + gap) * f
+            if len(surv) == 1:
+                resolved += up
+                continue
+            lo = book.lower_gap(depth, x, y, surv) * f
+            open_lo += lo
+            open_up += up
+            if depth < max_depth:
+                heapq.heappush(heap, (lo - up, next(tick), depth, x, y, surv, lo, up))
+        if not heap or (open_up - open_lo) * tol_den <= tol_num * unit:
+            break
+        _, _, depth, x, y, active, lo, up = heapq.heappop(heap)
         open_lo -= lo
         open_up -= up
-        for child in cell.children():
-            consider(child, surv)
+        depth, x, y = depth + 1, 3 * x, 3 * y
+        cells = ((x, y), (x, y + 2), (x + 2, y), (x + 2, y + 2))
     return CertifiedInterval(
         Fraction(resolved + open_lo, unit),
         Fraction(resolved + open_up, unit),
         open_lo == open_up,
     )
+
+
+def _walk(book: _LatticeBook, n: int, depth: int) -> Iterator[tuple[int, int, int, int | None]]:
+    """Depth-first over the cell tree: (depth, x, y, owner) per maximal
+    resolved cell, and owner None per cell still contested at the cutoff."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    stack = [(0, 0, 0, tuple(range(n)))]
+    while stack:
+        c, x, y, active = stack.pop()
+        _, _, surv = book.split(c, x, y, active)
+        if len(surv) == 1:
+            yield c, x, y, surv[0]
+        elif c >= depth:
+            yield c, x, y, UNRESOLVED
+        else:
+            c, x, y = c + 1, 3 * x, 3 * y
+            stack += ((c, x + 2, y + 2, surv), (c, x + 2, y, surv),
+                      (c, x, y + 2, surv), (c, x, y, surv))
 
 
 def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]:
@@ -290,20 +316,8 @@ def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]
     2 stands for all its depth-5 descendants.  Cells still contested at
     the cutoff are yielded with owner None.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    book = _LatticeBook(codebook.points)
-    stack = [(Cell(0, 0, 0), tuple(range(len(codebook))))]
-    while stack:
-        cell, active = stack.pop()
-        _, _, surv = book.survivors(cell, active)
-        if len(surv) == 1:
-            yield CellAssignment(cell, surv[0])
-        elif cell.depth >= depth:
-            yield CellAssignment(cell, UNRESOLVED)
-        else:
-            for child in reversed(cell.children()):
-                stack.append((child, surv))
+    for c, x, y, owner in _walk(_LatticeBook(codebook.points), len(codebook), depth):
+        yield CellAssignment(Cell(c, x, y), owner)
 
 
 def lloyd_step(codebook: Codebook, depth: int) -> Codebook:
@@ -317,23 +331,21 @@ def lloyd_step(codebook: Codebook, depth: int) -> Codebook:
     them all; one contested cell already dooms the step.
     """
     k = len(codebook)
-    # Masses in units of 4^-depth; first moments in units of
-    # 4^-depth / (2 * 3^depth), the cell midpoint being (2x+1) / (2 * 3^d).
-    mass = [0] * k
-    mx = [0] * k
-    my = [0] * k
+    # Masses in units of 4^-depth, first moments in units of 4^-depth /
+    # (2 * 3^depth), the cell midpoint being (2x+1) / (2 * 3^d); a depth-c
+    # cell weighs 4^u and 12^u in them, u = depth - c.
+    mass, mx, my = [0] * k, [0] * k, [0] * k
     failed: list[str] = []
-    for assign in iter_assignments(codebook, depth):
-        cell, owner = assign.cell, assign.owner
+    for c, x, y, owner in _walk(_LatticeBook(codebook.points), k, depth):
         if owner is UNRESOLVED:
-            failed.append(cell.address())
+            failed.append(Cell(c, x, y).address())
             if len(failed) >= ResolutionError.NAMED_LIMIT:
                 raise ResolutionError(depth, failed, truncated=True)
             continue
-        up = depth - cell.depth
-        mass[owner] += 4**up
-        mx[owner] += 12**up * (2 * cell.x + 1)
-        my[owner] += 12**up * (2 * cell.y + 1)
+        w = 12 ** (depth - c)
+        mass[owner] += 4 ** (depth - c)
+        mx[owner] += w * (2 * x + 1)
+        my[owner] += w * (2 * y + 1)
     if failed:
         raise ResolutionError(depth, failed)
     empty = [i for i in range(k) if mass[i] == 0]

@@ -591,12 +591,25 @@ GOLDEN_SHA256 = {
         "a67f5890d658f15e79f69a7316380456296cc26ef5dcaf0e33af05c33b7d8a39",
     "plot 3000 --depth 5":
         "d0c9aefa79a7dd4fa7e2b31c39b0a14c2d0fd32b255baaf2d13c686711143873",
+    # The engine's text, taken before its walks moved to bare integers:
+    # Lloyd fixed points and a multistart run, and the enclosure of a
+    # contested pair frozen at the depth cap and stopped by the tolerance.
+    "verify 2 --seeds 10 --depth 12":
+        "d5d3d45911b96eb20a5cd498f82bb7b74519ed45b078ed3b5dac177ff3781606",
+    "distortion --codebook {diag} --tol 1e-9 --depth 6":
+        "3c673ed0fc650eb38ec243f488e22f2341ad0967008c70fd25bd270d8aadb1b9",
+    "distortion --codebook {diag} --tol 1e-9 --depth 40":
+        "a1c885f46db484702c8bdd067278ab5d0437e854e9f991b8e96456fc036bf9de",
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_SHA256))
-def test_output_matches_golden_digest(capsys, command):
-    rc, out, _ = run(capsys, *command.split())
+def test_output_matches_golden_digest(capsys, tmp_path, command):
+    diag = tmp_path / "diag.json"
+    diag.write_text(json.dumps({
+        "points": [{"x": "3/10", "y": "7/10"}, {"x": "7/10", "y": "3/10"}],
+    }))
+    rc, out, _ = run(capsys, *command.format(diag=diag).split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
 

@@ -22,6 +22,7 @@ from cantorquant.engine import (
     lloyd,
     lloyd_step,
     multistart_search,
+    _LatticeBook,
 )
 from cantorquant.measure import Point, cell_interval, cell_moments
 from cantorquant.optimal import (
@@ -167,7 +168,7 @@ class TestExactDistortion:
         assert (huge.lower, huge.upper, huge.exact) == (capped.lower, capped.upper, capped.exact)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^max_depth must be >= 1, got 0$"):
             exact_distortion(HORIZONTAL_PAIR, max_depth=0)
         with pytest.raises(ValueError):
             exact_distortion(HORIZONTAL_PAIR, tolerance=Fraction(-1))
@@ -236,6 +237,10 @@ class TestLloydStep:
         assert 0 < len(err.cells) <= ResolutionError.NAMED_LIMIT
         assert err.truncated
         assert "at least" in str(err)
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
+            lloyd_step(HORIZONTAL_PAIR, -1)
 
     def test_dead_center_point_raises_empty_region(self):
         mid = book_of(("1/6", "1/2"), ("1/2", "1/2"), ("5/6", "1/2"))
@@ -560,6 +565,64 @@ class TestAgainstReferenceWalker:
         for book, _, _, depth in CORPUS[family]:
             got = step_outcome(lloyd_step, book, depth)
             assert got == step_outcome(ref_lloyd_step, book, depth)
+
+
+def old_survivors(book, cell, active):
+    """The filter kernel as it was before it took bare integers."""
+    d, coords, norms = book.scale, book.coords, book.norms
+    x, y, s = cell.x, cell.y, 3**cell.depth
+    cx, cy, s2 = (2 * x + 1) * d, (2 * y + 1) * d, 2 * s
+    z = best = None
+    for i in active:
+        a, b = coords[i]
+        gap = (cx - s2 * a) ** 2 + (cy - s2 * b) ** 2
+        if best is None or gap < best:
+            z, best = i, gap
+    xz, yz = coords[z]
+    keep = []
+    for i in active:
+        xi, yi = coords[i]
+        ux, uy = 2 * d * (xi - xz), 2 * d * (yi - yz)
+        if i == z or x * ux + y * uy + max(ux, 0) + max(uy, 0) > s * (norms[i] - norms[z]):
+            keep.append(i)
+    return z, best, tuple(keep)
+
+
+def old_lower_gap(book, cell, active):
+    def outside(lo, hi, v):
+        return lo - v if v < lo else v - hi if v > hi else 0
+
+    d = book.scale
+    s2 = 2 * 3**cell.depth
+    x0, y0, side = 2 * cell.x * d, 2 * cell.y * d, 2 * d
+    return min(
+        outside(x0, x0 + side, s2 * a) ** 2 + outside(y0, y0 + side, s2 * b) ** 2
+        for a, b in (book.coords[i] for i in active)
+    )
+
+
+@pytest.mark.parametrize("family", ["optimal", "random", "wide"])
+def test_kernel_matches_its_former_form(family):
+    """split and lower_gap against the Cell-taking kernel they replace, on
+    every cell of the depth-first walk to each entry's partition depth."""
+    cells = 0
+    for book, _, _, depth in CORPUS[family]:
+        lattice = _LatticeBook(book.points)
+        stack = [(ROOT, tuple(range(len(book))))]
+        while stack:
+            cell, active = stack.pop()
+            want = old_survivors(lattice, cell, active)
+            assert lattice.split(cell.depth, cell.x, cell.y, active) == want
+            one = want[:1]  # split's shortcut for a single active codeword
+            assert (lattice.split(cell.depth, cell.x, cell.y, one)
+                    == old_survivors(lattice, cell, one))
+            surv = want[2]
+            assert (lattice.lower_gap(cell.depth, cell.x, cell.y, surv)
+                    == old_lower_gap(lattice, cell, surv))
+            cells += 1
+            if len(surv) > 1 and cell.depth < depth:
+                stack.extend((child, surv) for child in cell.children())
+    assert cells > 10 * len(CORPUS[family])
 
 
 def test_dihedral_images_give_identical_enclosures():
