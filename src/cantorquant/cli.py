@@ -28,6 +28,7 @@ from fractions import Fraction
 
 from .engine import (
     DEFAULT_MAX_DEPTH,
+    DEFAULT_TOLERANCE,
     ResolutionError,
     RunStatus,
     exact_distortion,
@@ -38,12 +39,10 @@ from .measure import format_rational, parse_rational
 from .optimal import (
     Codebook,
     _count_bits,
-    _numerators,
     count_variants,
     optimal_codebook,
     quantization_error,
     spread_indices,
-    variant_by_index,
 )
 from .plot import render_svg
 
@@ -53,6 +52,7 @@ EXIT_VERIFY = 2
 EXIT_IO = 3
 
 ENUM_ALL_LIMIT = 100_000
+VERIFY_VARIANTS = 100
 PLOT_DEPTH_LIMIT = 10
 
 
@@ -159,14 +159,14 @@ def _json_list(items, pad: str) -> str:
 def _codebooks(n: int, indices: range, text):
     """(i, pairs, texts) per variant index i of n, as it is unranked: the
     numerator pairs of its codebook and text(coordinate) per numerator.
-    Every variant of n has the same denominator and numerators, so text
-    runs once per numerator, not once per point."""
-    texts = None
+    Every variant of n has the same denominator, so text runs once per
+    numerator, not once per point."""
+    texts = {}
     for i in indices:
-        q, numerators, pairs = _numerators(variant_by_index(n, i))
-        if texts is None:
-            texts = {a: text(Fraction(a, q)) for a in numerators}
-        yield i, pairs, texts
+        book = optimal_codebook(n, i)
+        for a in set().union(*book.pairs).difference(texts):
+            texts[a] = text(Fraction(a, book.den))
+        yield i, book.pairs, texts
 
 
 def _json_points(pairs: list[tuple[int, int]], texts: dict, pad: str) -> str:
@@ -272,7 +272,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     target_text = _text(target, n, EXIT_IO, "cannot print the error: ")
     print(f"n = {n}")
     print(f"closed-form error = {target_text} = {approx_str(target)} (approx)")
-    checked = spread_indices(total, args.max_variants)
+    checked = spread_indices(total, VERIFY_VARIANTS)
     sampled = " (evenly sampled)" if len(checked) < total else ""
     print(f"variants = {shown}, checking {len(checked)}{sampled}")
     failed_variants = 0
@@ -357,7 +357,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("distortion", help="certified distortion of a codebook file")
     p.add_argument("--codebook", required=True)
-    p.add_argument("--tol", default="1e-12")
+    p.add_argument("--tol", default=format_rational(DEFAULT_TOLERANCE))
     p.add_argument("--depth", type=_positive_int, default=DEFAULT_MAX_DEPTH)
 
     p = sub.add_parser("verify", help="cross-check variants and multistart evidence")
@@ -365,7 +365,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", type=_positive_int, default=200)
     p.add_argument("--rng-seed", type=int, default=1)
     p.add_argument("--depth", type=_positive_int, default=20)
-    p.add_argument("--max-variants", type=_positive_int, default=100)
 
     p = sub.add_parser("count", help="number of optimal codebooks")
     p.add_argument("n", type=_positive_int)

@@ -22,8 +22,8 @@ iter_assignments and lloyd_step.  Both carry cells as bare (depth, x, y)
 integers; a Cell is built only where the API returns or names one.
 Distances appear only squared; no roots, no rounding.  exact_distortion
 sums its bounds as integers in the unit 1/(4 * 36^deep * D^2), D the
-codebook's common denominator and deep the depth of the deepest cell
-met so far, and turns them into Fractions once, at return.
+codebook's denominator and deep the depth of the deepest cell met so
+far, and turns them into Fractions once, at return.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .measure import Point, format_rational
 from .optimal import Codebook
@@ -82,10 +82,9 @@ def _binary_word(v: int, depth: int) -> str:
 
 
 class _LatticeBook:
-    """A codebook scaled onto the integer lattice.
-
-    D is the lcm of all coordinate denominators and P_i = D z_i.  Codeword
-    j is weakly closer than codeword i at a point c exactly when
+    """A codebook on the integer lattice: D is its denominator and P_i =
+    D z_i its numerator pairs, as the Codebook holds them.  Codeword j is
+    weakly closer than codeword i at a point c exactly when
     2c.(z_i - z_j) <= |z_i|^2 - |z_j|^2.  With c = C/3^d and cleared
     denominators that reads C.u <= 3^d k for u = 2D(P_i - P_j) and
     k = |P_i|^2 - |P_j|^2; j dominates i on a cell when this holds at the
@@ -100,13 +99,9 @@ class _LatticeBook:
       is at least as near the midpoint and the cell rectangle.
     """
 
-    def __init__(self, points: Sequence[Point]):
-        d = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
-        self.scale = d
-        self.coords = [
-            (p.x.numerator * (d // p.x.denominator), p.y.numerator * (d // p.y.denominator))
-            for p in points
-        ]
+    def __init__(self, codebook: Codebook):
+        d = self.scale = codebook.den
+        self.coords = codebook.pairs
         self.norms = [a * a + b * b for a, b in self.coords]
         self.scaled = [(2 * d * a, 2 * d * b) for a, b in self.coords]  # u = 2D P_i - 2D P_j
 
@@ -161,7 +156,7 @@ class ResolutionError(Exception):
 
     NAMED_LIMIT = 32
 
-    def __init__(self, depth: int, cells: Sequence[str], truncated: bool = False):
+    def __init__(self, depth: int, cells: list[str], truncated: bool = False):
         self.depth = depth
         self.cells = tuple(cells[: self.NAMED_LIMIT])
         self.truncated = truncated or len(cells) > len(self.cells)
@@ -173,7 +168,7 @@ class ResolutionError(Exception):
 class EmptyRegionError(Exception):
     """Some codeword captures no mass at all."""
 
-    def __init__(self, indices: Sequence[int]):
+    def __init__(self, indices: list[int]):
         self.indices = tuple(indices)
         joined = ", ".join(str(i) for i in self.indices)
         super().__init__(f"codewords with empty regions: {joined}")
@@ -185,13 +180,14 @@ class CertifiedInterval:
 
     lower: Fraction
     upper: Fraction
-    exact: bool
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError(f"interval has lower {self.lower} > upper {self.upper}")
-        if self.exact and self.lower != self.upper:
-            raise ValueError("exact interval must be degenerate")
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def width(self) -> Fraction:
@@ -245,7 +241,7 @@ def exact_distortion(
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
-    book = _LatticeBook(codebook.points)
+    book = _LatticeBook(codebook)
     d2 = book.scale**2
     # Bounds are numerators over unit = 4 * 36^deep * D^2; a depth-c
     # numerator is lifted to it by f = 36^(deep - c).  New cells are the
@@ -286,7 +282,6 @@ def exact_distortion(
     return CertifiedInterval(
         Fraction(resolved + open_lo, unit),
         Fraction(resolved + open_up, unit),
-        open_lo == open_up,
     )
 
 
@@ -316,7 +311,7 @@ def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]
     2 stands for all its depth-5 descendants.  Cells still contested at
     the cutoff are yielded with owner None.
     """
-    for c, x, y, owner in _walk(_LatticeBook(codebook.points), len(codebook), depth):
+    for c, x, y, owner in _walk(_LatticeBook(codebook), len(codebook), depth):
         yield CellAssignment(Cell(c, x, y), owner)
 
 
@@ -336,7 +331,7 @@ def lloyd_step(codebook: Codebook, depth: int) -> Codebook:
     # cell weighs 4^u and 12^u in them, u = depth - c.
     mass, mx, my = [0] * k, [0] * k, [0] * k
     failed: list[str] = []
-    for c, x, y, owner in _walk(_LatticeBook(codebook.points), k, depth):
+    for c, x, y, owner in _walk(_LatticeBook(codebook), k, depth):
         if owner is UNRESOLVED:
             failed.append(Cell(c, x, y).address())
             if len(failed) >= ResolutionError.NAMED_LIMIT:
@@ -351,11 +346,9 @@ def lloyd_step(codebook: Codebook, depth: int) -> Codebook:
     empty = [i for i in range(k) if mass[i] == 0]
     if empty:
         raise EmptyRegionError(empty)
-    unit = 2 * 3**depth
-    return Codebook.of(
-        Point(Fraction(mx[i], unit * mass[i]), Fraction(my[i], unit * mass[i]))
-        for i in range(k)
-    )
+    den = math.lcm(*mass)
+    return Codebook.over(2 * 3**depth * den, [
+        (mx[i] * (den // mass[i]), my[i] * (den // mass[i])) for i in range(k)])
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,14 +31,15 @@ choice-carrying cells, in position order, as one mixed-radix number.
 The index <-> VariantSpec mapping is part of the public contract.
 
 Subsets are ranked and unranked in the combinatorial number system.
-Codebooks are assembled on one path, _numerators, as sorted integer
-numerator pairs over the common denominator 2 * 3^(ell+1); codebook_for
-builds one Fraction per distinct numerator, and the CLI and plot write
-their text straight from the pairs.
+A Codebook holds its points as sorted integer numerator pairs over their
+least common denominator, which codebook_for assembles directly and the
+engine, the CLI and plot read directly; Fractions are made only where
+Points come in (Codebook.of) or go out (Codebook.points).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -266,22 +267,45 @@ def lattice_row(ell: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class Codebook:
-    """A finite set of points, stored sorted lexicographically by (x, y)."""
+    """The points (a/den, b/den) for (a, b) in pairs, sorted and distinct,
+    den their least common denominator.  Over one positive denominator
+    integer order is point order, so equal point sets are equal, and hash
+    equal, as plain tuples of integers."""
 
-    points: tuple[Point, ...]
+    den: int
+    pairs: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def over(cls, den: int, pairs: Iterable[tuple[int, int]]) -> "Codebook":
+        """The codebook of the points (a/den, b/den), den > 0: the one
+        constructor.  Raises ValueError on a repeated point or on none."""
+        ordered = sorted(pairs)
+        for p, q in zip(ordered, ordered[1:]):
+            if p == q:
+                raise ValueError(f"duplicate codeword {Point(*(Fraction(a, den) for a in p))}")
+        if not ordered:
+            raise ValueError("codebook must contain at least one point")
+        # The first pair often shows den in lowest terms already, without
+        # reading the other 2n - 2 numerators.
+        g = math.gcd(den, *ordered[0])
+        if g > 1 and (g := math.gcd(g, *itertools.chain.from_iterable(ordered))) > 1:
+            den, ordered = den // g, [(a // g, b // g) for a, b in ordered]
+        return cls(den, tuple(ordered))
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "Codebook":
-        ordered = tuple(sorted(points))
-        for a, b in zip(ordered, ordered[1:]):
-            if a == b:
-                raise ValueError(f"duplicate codeword {a}")
-        if not ordered:
-            raise ValueError("codebook must contain at least one point")
-        return cls(ordered)
+        points = list(points)
+        den = math.lcm(*(c.denominator for p in points for c in (p.x, p.y)))
+        return cls.over(den, [(p.x.numerator * (den // p.x.denominator),
+                               p.y.numerator * (den // p.y.denominator)) for p in points])
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The points, sorted lexicographically by (x, y)."""
+        return tuple([Point(Fraction(a, self.den), Fraction(b, self.den)) for a, b in self.pairs])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.pairs)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
@@ -300,11 +324,11 @@ class Codebook:
         return book
 
 
-def _numerators(spec: VariantSpec) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """q = 2 * 3^(ell+1), the 3 * 2^ell coordinate numerators 6X + 1, 6X + 3
-    and 6X + 5 over the X of lattice_row(ell), in increasing order, and the
-    sorted, distinct numerator pairs over q of the spec's codebook: the one
-    assembly path.  Raises ValueError on a malformed spec."""
+def codebook_for(spec: VariantSpec) -> Codebook:
+    """Assemble the codebook of a variant spec, over q = 2 * 3^(ell+1) and
+    its coordinate numerators 6X + 1, 6X + 3 and 6X + 5 for the X of
+    lattice_row(ell); only n = 4^ell, whose every numerator is 6X + 3,
+    reduces to q / 3.  Raises ValueError on a malformed spec."""
     ell, m, split, _ = _checked(spec)
     # Other cells hold m points and split cells m + 1; the cells with more
     # than one pattern take spec.choices in position order.
@@ -314,26 +338,8 @@ def _numerators(spec: VariantSpec) -> tuple[int, list[int], list[tuple[int, int]
                    for pats in [table[cell in split] for cell in range(4**ell)]])
     # line[d] is 6X + d, one int shared by every pair on that line.
     lines = [tuple(range(6 * v, 6 * v + 6)) for v in lattice_row(ell)]
-    pairs = [(x[dx], y[dy]) for x in lines for y in lines for dx, dy in next(chosen)]
-    # Over the common denominator q, integer order is point order, so the
-    # sorted pairs give Codebook.of's sorted, distinct points without
-    # comparing Fractions.
-    pairs.sort()
-    for a, b in zip(pairs, pairs[1:]):
-        if a == b:
-            raise ValueError(f"duplicate codeword numerators {a}")
-    return 2 * 3 ** (ell + 1), [line[d] for line in lines for d in (1, 3, 5)], pairs
-
-
-def codebook_for(spec: VariantSpec) -> Codebook:
-    """Assemble the codebook of a variant spec; raises ValueError on a
-    malformed spec."""
-    q, numerators, pairs = _numerators(spec)
-    coord = {a: Fraction(a, q) for a in numerators}
-    # From a list, tuple() allocates the exact size.  A tuple grown from a
-    # generator is resized, and once freed it stays on CPython's free list
-    # of its size, so a long run's memory would grow with its codebooks.
-    return Codebook(tuple([Point(coord[a], coord[b]) for a, b in pairs]))
+    return Codebook.over(2 * 3 ** (ell + 1), [
+        (x[dx], y[dy]) for x in lines for y in lines for dx, dy in next(chosen)])
 
 
 def optimal_codebook(n: int, variant: int = 0) -> Codebook:

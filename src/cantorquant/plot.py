@@ -7,7 +7,7 @@ pair always renders byte-identical output on any platform.
 
 from __future__ import annotations
 
-from .optimal import _numerators, lattice_row, variant_by_index
+from .optimal import lattice_row, optimal_codebook
 
 MARGIN = 20
 BOARD = 600
@@ -39,7 +39,7 @@ def render_svg(n: int, depth: int) -> str:
         raise ValueError(f"render_svg requires n >= 1, got {n}")
     if depth < 1:
         raise ValueError(f"render_svg requires depth >= 1, got {depth}")
-    q, numerators, pairs = _numerators(variant_by_index(n, 0))
+    book = optimal_codebook(n)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{CANVAS}" height="{CANVAS}" viewBox="0 0 {CANVAS} {CANVAS}">',
@@ -57,11 +57,12 @@ def render_svg(n: int, depth: int) -> str:
     for v in lattice:
         head = f'  <rect x="{_fixed3(MARGIN * side + BOARD * v, side)}" y="'
         lines.append(head + f"{tail}\n{head}".join(tops) + tail)
-    # Every coordinate is one of 3 * 2^ell numerators over q, so each is
-    # formatted once per axis.
-    xs = {a: _fixed3(MARGIN * q + BOARD * a, q) for a in numerators}
-    ys = {a: _fixed3(MARGIN * q + BOARD * (q - a), q) for a in numerators}
+    # Every coordinate is one of at most 3 * 2^ell numerators over q, so
+    # each is formatted once per axis.
+    q, used = book.den, set().union(*book.pairs)
+    xs = {a: _fixed3(MARGIN * q + BOARD * a, q) for a in used}
+    ys = {a: _fixed3(MARGIN * q + BOARD * (q - a), q) for a in used}
     lines.extend([f'  <circle cx="{xs[a]}" cy="{ys[b]}" r="{DOT_RADIUS}" {DOT_STYLE}/>'
-                  for a, b in pairs])
+                  for a, b in book.pairs])
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

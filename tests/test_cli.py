@@ -253,7 +253,7 @@ class TestVerify:
         # below V_n by any amount disproves the closed form.
         upper = Fraction(5, 36) - Fraction(1, 10**12)
         record = RunRecord(0, RunStatus.CONVERGED, 1, optimal_codebook(2),
-                           CertifiedInterval(upper, upper, True))
+                           CertifiedInterval(upper, upper))
         monkeypatch.setattr(cli, "multistart_search",
                             lambda n, seeds, rng_seed, depth: MultistartResult((record,)))
         rc, out, _ = run(capsys, "verify", "2", "--seeds", "1", "--depth", "12")

@@ -23,6 +23,7 @@ from cantorquant.engine import (
     lloyd_step,
     multistart_search,
     _LatticeBook,
+    _walk,
 )
 from cantorquant.measure import Point, cell_interval, cell_moments
 from cantorquant.optimal import (
@@ -99,16 +100,13 @@ class TestResolveCell:
 
 class TestCertifiedInterval:
     def test_width(self):
-        iv = CertifiedInterval(Fraction(1, 3), HALF, False)
+        iv = CertifiedInterval(Fraction(1, 3), HALF)
         assert iv.width == Fraction(1, 6)
+        assert not iv.exact and CertifiedInterval(HALF, HALF).exact
 
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
-            CertifiedInterval(Fraction(1), Fraction(0), False)
-
-    def test_exact_must_be_degenerate(self):
-        with pytest.raises(ValueError):
-            CertifiedInterval(Fraction(0), Fraction(1), True)
+            CertifiedInterval(Fraction(1), Fraction(0))
 
 
 class TestExactDistortion:
@@ -607,7 +605,7 @@ def test_kernel_matches_its_former_form(family):
     every cell of the depth-first walk to each entry's partition depth."""
     cells = 0
     for book, _, _, depth in CORPUS[family]:
-        lattice = _LatticeBook(book.points)
+        lattice = _LatticeBook(book)
         stack = [(ROOT, tuple(range(len(book))))]
         while stack:
             cell, active = stack.pop()
@@ -623,6 +621,66 @@ def test_kernel_matches_its_former_form(family):
             if len(surv) > 1 and cell.depth < depth:
                 stack.extend((child, surv) for child in cell.children())
     assert cells > 10 * len(CORPUS[family])
+
+
+def old_lloyd_step(codebook, depth):
+    """lloyd_step as it was before codebooks were held as numerator pairs:
+    the same integer sums, then one Fraction per coordinate and Codebook.of."""
+    k = len(codebook)
+    mass, mx, my = [0] * k, [0] * k, [0] * k
+    failed = []
+    for c, x, y, owner in _walk(_LatticeBook(codebook), k, depth):
+        if owner is UNRESOLVED:
+            failed.append(Cell(c, x, y).address())
+            if len(failed) >= ResolutionError.NAMED_LIMIT:
+                raise ResolutionError(depth, failed, truncated=True)
+            continue
+        w = 12 ** (depth - c)
+        mass[owner] += 4 ** (depth - c)
+        mx[owner] += w * (2 * x + 1)
+        my[owner] += w * (2 * y + 1)
+    if failed:
+        raise ResolutionError(depth, failed)
+    empty = [i for i in range(k) if mass[i] == 0]
+    if empty:
+        raise EmptyRegionError(empty)
+    unit = 2 * 3**depth
+    return Codebook.of(
+        Point(Fraction(mx[i], unit * mass[i]), Fraction(my[i], unit * mass[i]))
+        for i in range(k)
+    )
+
+
+def lloyd_paths(starts=40, depth=12):
+    """Every codebook on the Lloyd paths from multistart's first random
+    starts for n = 2..5 whose step resolves and moves it."""
+    rng, books = Lcg64(1), []
+    for n in (2, 3, 4, 5):
+        for _ in range(starts):
+            book = Codebook.of(Point(rng.next_fraction(), rng.next_fraction()) for _ in range(n))
+            while isinstance(nxt := step_outcome(lloyd_step, book, depth), Codebook) and nxt != book:
+                books.append(book)
+                book = nxt
+    return [(book, None, None, depth) for book in books]
+
+
+@pytest.mark.parametrize("family", [*sorted(CORPUS), "lloyd-paths"])
+def test_lloyd_step_matches_its_fraction_tail(family):
+    """The centroids reduced over one lcm give the codebook, and the points,
+    that one Fraction per coordinate gave."""
+    entries = lloyd_paths() if family == "lloyd-paths" else CORPUS[family]
+    moved = 0
+    for book, _, _, depth in entries:
+        got = step_outcome(lloyd_step, book, depth)
+        want = step_outcome(old_lloyd_step, book, depth)
+        assert got == want
+        if isinstance(got, Codebook):
+            assert got.points == want.points
+            moved += got != book
+    # The optimal codebooks are fixed points, the other corpus books do
+    # not resolve, and every codebook on a path moves.
+    assert moved == (len(entries) if family == "lloyd-paths" else 0)
+    assert family != "lloyd-paths" or moved >= 5
 
 
 def test_dihedral_images_give_identical_enclosures():

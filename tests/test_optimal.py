@@ -18,7 +18,6 @@ from cantorquant.optimal import (
     VariantSpec,
     _cell_counts,
     _count_bits,
-    _numerators,
     _rank_combination,
     _unrank_combination,
     lattice_row,
@@ -268,6 +267,39 @@ class TestCodebookContainer:
         with pytest.raises(ValueError):
             Codebook.of([Point(Fraction(0), Fraction(0))] * 2)
 
+    def test_one_form_per_point_set(self):
+        # Over 2, 6 or 12, in any order: one den, one tuple, one hash.
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        books = [
+            Codebook.over(2, [(1, 1)]),
+            Codebook.over(6, [(3, 3)]),
+            Codebook.of([Point(half, half)]),
+        ]
+        assert {(b.den, b.pairs) for b in books} == {(2, ((1, 1),))}
+        assert len({hash(b) for b in books}) == 1 and books[0] == books[1] == books[2]
+        two = [Point(third, half), Point(half, Fraction(5, 6))]
+        assert Codebook.of(two) == Codebook.of(two[::-1]) == Codebook.over(12, [(6, 10), (4, 6)])
+        assert Codebook.of(two).den == 6
+
+    def test_points_round_trip_off_the_unit_square(self):
+        points = [Point(Fraction(-7, 3), Fraction(5, 2)), Point(Fraction(11, 4), Fraction(-1, 6)),
+                  Point(Fraction(0), Fraction(3)), Point(Fraction(-7, 3), Fraction(-5, 2))]
+        book = Codebook.of(points)
+        assert book.den == 12
+        assert book.points == tuple(sorted(points)) == tuple(book)
+
+    def test_powers_of_four_reduce(self):
+        for ell in range(6):
+            book = optimal_codebook(4**ell)
+            assert book.den == 2 * 3**ell
+            assert all(a % 2 == 1 for pair in book.pairs for a in pair)
+
+    def test_over_names_the_repeat_and_the_empty_set(self):
+        with pytest.raises(ValueError, match=r"^duplicate codeword \(1/2, 1/3\)$"):
+            Codebook.over(6, [(3, 2), (1, 1), (3, 2)])
+        with pytest.raises(ValueError, match=r"^codebook must contain at least one point$"):
+            Codebook.over(6, [])
+
     def test_json_roundtrip(self, tmp_path):
         # The CLI writes the file; the library reads it back.
         path = tmp_path / "book.json"
@@ -375,14 +407,15 @@ class TestLatticeAssembly:
     def test_numerators_give_the_codebook(self, ns):
         for n in ns:
             ell = _cell_counts(n)[0]
+            numerators = {6 * x + d for x in lattice_row(ell) for d in (1, 3, 5)}
+            # Only n = 4^ell, whose every numerator is 6X + 3, reduces.
+            reduced = 3 if n == 4**ell else 1
             for i in spread_indices(count_variants(n), 4):
-                spec = variant_by_index(n, i)
-                q, numerators, pairs = _numerators(spec)
-                assert q == 2 * 3 ** (ell + 1)
-                assert numerators == [6 * x + d for x in lattice_row(ell) for d in (1, 3, 5)]
-                assert pairs == sorted(set(pairs)) and len(pairs) == n, (n, i)
-                assert codebook_for(spec).points == tuple(
-                    Point(Fraction(a, q), Fraction(b, q)) for a, b in pairs), (n, i)
+                book = codebook_for(variant_by_index(n, i))
+                assert book.den * reduced == 2 * 3 ** (ell + 1), (n, i)
+                assert {a * reduced for pair in book.pairs for a in pair} <= numerators
+                assert book.pairs == tuple(sorted(set(book.pairs))) and len(book) == n, (n, i)
+                assert book.points == tuple(sorted(book.points)), (n, i)
 
     def test_lattice_inverts_cell_address(self):
         for depth in range(7):
@@ -473,8 +506,6 @@ class TestMalformedSpec:
     ], ids=["deeper-cell-at-ell-0", "out-of-range", "negative", "non-int",
             "repeated-cell", "split-count", "choice-count", "choice-value"])
     def test_rejected_by_assembly_and_ranking(self, spec):
-        with pytest.raises(ValueError):
-            _numerators(spec)
         with pytest.raises(ValueError):
             codebook_for(spec)
         with pytest.raises(ValueError):

@@ -6,13 +6,13 @@
 
 Each tree is a checkout of the repository with its own ``perfbench/``
 and ``src/``; the benchmark of each tree runs against that tree.  The
-run length and each metric's direction are read from the change's
-``BENCHMARK.json``.  One pair runs ``perfbench/run.py --workload W
---seed S --seconds T`` in both trees, one after the other: the parent
-first on odd seeds, the change first on even ones.  Seeds count up from
-``--first-seed``, and the workloads take turns, one pair each per
-round, so that a slow phase of the machine falls on every workload
-alike.
+run length and each metric's direction and bound are read from the
+change's ``BENCHMARK.json``.  One pair runs ``perfbench/run.py
+--workload W --seed S --seconds T`` in both trees, one after the
+other: the parent first on odd seeds, the change first on even ones.
+Seeds count up from ``--first-seed``, and the workloads take turns, one
+pair each per round, so that a slow phase of the machine falls on every
+workload alike.
 
 Then, for every workload, PROBES rounds of set-up probes (``worker.py
 setup W``, one fresh process per side per round, the parent first in
@@ -21,9 +21,12 @@ at TRACE_SEED, the parent first.
 
 The output mirrors ``BENCH_17.json``: per workload and metric the
 median and the quartiles of each side (``statistics.quantiles`` with
-``method='inclusive'``) and the number of pairs the change won, that is
-where it was strictly better; the raw run lines; the probe samples; and
-the traced layer metrics side by side.  Standard library only.
+``method='inclusive'``), the number of pairs the change won, that is
+where it was strictly better, and the no-regression verdict against the
+metric's ``bound`` in ``BENCHMARK.json`` (see ``verdict``); the raw run
+lines; the probe samples; and the traced layer metrics side by side.
+The verdicts are also printed, one line per workload and metric.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -70,18 +73,38 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
+def verdict(parent: list[float], change: list[float], sign: int, bound: float) -> str:
+    """The no-regression verdict on one metric; sign is 1 where higher is
+    better and -1 where lower is.  With the allowance bound * |parent
+    median|:
+    - "worse": the change's median is past the allowance in the bad
+      direction;
+    - "unresolved": otherwise, when the parent's quartile spread is wider
+      than the allowance, unless every change run beats every parent run;
+    - "within": otherwise."""
+    p, c = spread(parent), spread(change)
+    allowance = bound * abs(p["median"])
+    if sign * (c["median"] - p["median"]) < -allowance:
+        return "worse"
+    if p["q3"] - p["q1"] > allowance and not all(sign * (b - a) > 0 for a in parent for b in change):
+        return "unresolved"
+    return "within"
+
+
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric: each side's median and quartiles, the change's wins and
+    the verdict; metrics maps a name to its BENCHMARK.json entry."""
     names = pairs[0]["parent"]["result"]["metrics"]
     summary = {}
     for name in names:
         values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        sign = 1 if better[name] == "higher" else -1
+        sign = 1 if metrics[name]["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         summary[name] = {
             **{side: spread(values[side]) for side in SIDES},
             "change_wins": wins,
             "pairs": len(pairs),
+            "verdict": verdict(values["parent"], values["change"], sign, metrics[name]["bound"]),
         }
     return summary
 
@@ -109,7 +132,7 @@ def main(argv=None) -> int:
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     pairs = {w: [] for w in counts}
     seed = args.first_seed
@@ -139,8 +162,9 @@ def main(argv=None) -> int:
             "quartiles": "statistics.quantiles(values, n=4, method='inclusive')",
         },
     }
+    summaries = {w: summarize(pairs[w], metrics) for w in counts}
     if args.claim is not None:
-        summary = summarize(pairs[args.claim], better)
+        summary = summaries[args.claim]
         s = summary["ops_per_s"]
         out["claim"] = {
             "metric": "ops_per_s",
@@ -154,8 +178,14 @@ def main(argv=None) -> int:
         out[f"{args.claim}_summary"] = summary
         out[f"{args.claim}_pairs"] = pairs[args.claim]
     out["other_workloads"] = {
-        w: {"summary": summarize(pairs[w], better), "pairs": pairs[w]} for w in counts if w != args.claim
+        w: {"summary": summaries[w], "pairs": pairs[w]} for w in counts if w != args.claim
     }
+    for w, summary in summaries.items():
+        for name, s in summary.items():
+            print(f"{w} {name}: {s['verdict']}, parent {s['parent']['median']:.6g} "
+                  f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}] -> change "
+                  f"{s['change']['median']:.6g}, {s['change_wins']} of {s['pairs']} won",
+                  file=sys.stderr)
 
     for w in counts:
         samples = {side: [] for side in SIDES}
