@@ -19,9 +19,9 @@ from .engine import (
     lloyd_step,
     multistart_search,
 )
-from .measure import Point
 from .optimal import (
     Codebook,
+    Point,
     codebook_for,
     count_variants,
     optimal_codebook,

@@ -35,12 +35,13 @@ from .engine import (
     lloyd_step,
     multistart_search,
 )
-from .measure import format_rational, parse_rational
 from .optimal import (
     Codebook,
     _count_bits,
     count_variants,
+    format_rational,
     optimal_codebook,
+    parse_rational,
     quantization_error,
     spread_indices,
 )
@@ -242,6 +243,7 @@ def cmd_error(args: argparse.Namespace) -> int:
 
 def cmd_distortion(args: argparse.Namespace) -> int:
     path = args.codebook
+    tol = _parse_tolerance(args.tol)
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -256,7 +258,7 @@ def cmd_distortion(args: argparse.Namespace) -> int:
         book = Codebook.from_json_obj(obj)
     except (TypeError, ValueError) as err:
         raise _Failure(EXIT_IO, f"invalid codebook in {path}: {err}")
-    interval = exact_distortion(book, _parse_tolerance(args.tol), args.depth)
+    interval = exact_distortion(book, tol, args.depth)
     try:
         text = json.dumps(interval.to_json_obj())
     except ValueError as err:

@@ -36,8 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .measure import Point, format_rational
-from .optimal import Codebook
+from .optimal import Codebook, Point, format_rational
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 40
@@ -456,18 +455,23 @@ def multistart_search(n: int, seeds: int, rng_seed: int, depth: int) -> Multista
         raise ValueError(f"multistart_search requires n >= 1, got {n}")
     if seeds < 1:
         raise ValueError(f"multistart_search requires seeds >= 1, got {seeds}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     rng = Lcg64(rng_seed)
     runs = []
     for r in range(seeds):
         coords = [(rng.next_fraction(), rng.next_fraction()) for _ in range(n)]
         try:
-            res = lloyd(Codebook.of(Point(x, y) for x, y in coords), depth)
+            start = Codebook.of(Point(x, y) for x, y in coords)
+        except ValueError:  # a repeated start point
+            runs.append(RunRecord(r, RunStatus.DEGENERATE, 0, None, None))
+            continue
+        try:
+            res = lloyd(start, depth)
         except ResolutionError:
             runs.append(RunRecord(r, RunStatus.RESOLUTION_FAILURE, 0, None, None))
         except EmptyRegionError:
             runs.append(RunRecord(r, RunStatus.EMPTY_REGION, 0, None, None))
-        except ValueError:
-            runs.append(RunRecord(r, RunStatus.DEGENERATE, 0, None, None))
         else:
             status = RunStatus.CONVERGED if res.converged else RunStatus.MAX_ITERS
             runs.append(RunRecord(r, status, res.iterations, res.codebook, res.interval))

@@ -1,4 +1,4 @@
-"""Exact affine machinery of the planar product-Cantor measure.
+"""The paper's model of the planar product-Cantor measure, in exact maps.
 
 The measure lives on [0,1]^2 and is generated by the infinite family of
 contractions
@@ -17,81 +17,20 @@ system is a product cell U_s[0,1] x U_t[0,1]: a basic rectangle
 J_w = S_w([0,1]^2) takes s and t from w's two coordinate words, and a
 sibling tail union sets the infinite flag on each coordinate that runs
 to infinity.  ``cell_moments`` gives the mass, centroid and second
-moment of any such cell in closed form.
+moment of any such cell in closed form, and ``dist2`` the squared
+distance its parallel-axis form reads.  No runtime module imports this
+module or ``words``: every command runs on the product form alone.
 """
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
+from .optimal import Point
 from .words import BinaryWord, NatWord
 
 HALF = Fraction(1, 2)
-
-
-# ============================================================
-# Serialization helpers ("p/q" strings; integers drop the "/q")
-# ============================================================
-
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)", re.IGNORECASE)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer string, or a plain decimal like "0.31".
-
-    Raises TypeError for anything but a string and ValueError for
-    malformed text, a zero denominator included, or for more digits or a
-    larger exponent than ``sys.get_int_max_str_digits()`` allows.
-    """
-    if not isinstance(text, str):
-        raise TypeError(f"a rational must be given as text, got {text!r}")
-    # Python before 3.10.7 has no such limit; its later default stands in.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    if limit:
-        if sum(c.isdigit() for c in text) > limit:
-            raise ValueError(f"a rational may have at most {limit} digits")
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent[1].replace("_", ""))) > limit:
-            raise ValueError(f"a decimal exponent may be at most {limit} in magnitude")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical string for a rational: "p/q", or "p" when q = 1."""
-    return str(value)
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class Point:
-    """A point of the plane with exact rational coordinates."""
-
-    x: Fraction
-    y: Fraction
-
-    def dist2(self, other: "Point") -> Fraction:
-        """Squared Euclidean distance; no square roots anywhere."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
-    def to_json(self) -> dict:
-        return {"x": format_rational(self.x), "y": format_rational(self.y)}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Point":
-        if not isinstance(obj, Mapping) or "x" not in obj or "y" not in obj:
-            raise ValueError(f"a point must be an object with x and y, got {obj!r}")
-        return cls(parse_rational(obj["x"]), parse_rational(obj["y"]))
-
-    def __str__(self) -> str:
-        return f"({self.x}, {self.y})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,3 +114,8 @@ Distributions (LNM 1730, 2000).
     )
     second = mass * (Fraction(1, 9 ** len(s)) + Fraction(1, 9 ** len(t))) / 8
     return mass, centroid, second
+
+
+def dist2(p: Point, q: Point) -> Fraction:
+    """Squared Euclidean distance |p - q|^2; no square roots anywhere."""
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2

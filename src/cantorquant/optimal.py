@@ -34,18 +34,20 @@ Subsets are ranked and unranked in the combinatorial number system.
 A Codebook holds its points as sorted integer numerator pairs over their
 least common denominator, which codebook_for assembles directly and the
 engine, the CLI and plot read directly; Fractions are made only where
-Points come in (Codebook.of) or go out (Codebook.points).
+Points come in (Codebook.of) or go out (Codebook.points).  Point and its
+"p/q" text (parse_rational, format_rational) live here beside Codebook,
+so the runtime never loads the paper's map model, measure and words.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
-
-from .measure import Point
 
 
 # ============================================================
@@ -119,15 +121,13 @@ class VariantSpec:
 
 def count_variants(n: int) -> int:
     """How many distinct optimal codebooks the construction yields."""
-    ell, m, k = _cell_counts(n)
-    cells = 4**ell
-    rest, more = len(_PATTERNS[m]), len(_PATTERNS[m + 1])
-    return math.comb(cells, k) * more**k * rest ** (cells - k)
+    ell, _, k = _cell_counts(n)
+    return math.comb(4**ell, k) << _count_bits(n)
 
 
 def _count_bits(n: int) -> int:
-    """B with count_variants(n) >= 2^B, in plain integer arithmetic: the
-    pattern counts are powers of two, and C(4^ell, k) >= 1."""
+    """B with count_variants(n) = C(4^ell, k) * 2^B: every pattern count
+    is 1, 2 or 4, so the choices of a variant span exactly B bits."""
     ell, m, k = _cell_counts(n)
     rest, more = len(_PATTERNS[m]), len(_PATTERNS[m + 1])
     return k * (more.bit_length() - 1) + (4**ell - k) * (rest.bit_length() - 1)
@@ -219,9 +219,8 @@ def variant_by_index(n: int, index: int) -> VariantSpec:
     if not 0 <= index < total:
         raise ValueError(f"variant index {index} out of range [0, {total}) for n={n}")
     ell, m, k = _cell_counts(n)
-    cells = 4**ell
-    per_subset = total // math.comb(cells, k)
-    subset_rank, choice_code = divmod(index, per_subset)
+    cells, bits = 4**ell, _count_bits(n)
+    subset_rank, choice_code = index >> bits, index & ((1 << bits) - 1)
     picked = _unrank_combination(cells, k, subset_rank)
     radices = _radices(m, cells, frozenset(picked))
     digits = [0] * len(radices)
@@ -237,7 +236,7 @@ def variant_index(spec: VariantSpec) -> int:
     code = 0
     for digit, radix in zip(spec.choices, radices):
         code = code * radix + digit
-    return subset_rank * math.prod(radices) + code
+    return (subset_rank << _count_bits(spec.n)) + code
 
 
 def spread_indices(total: int, cap: int) -> tuple[int, ...]:
@@ -263,6 +262,57 @@ def lattice_row(ell: int) -> list[int]:
     for _ in range(ell):
         row = [3 * x + d for x in row for d in (0, 2)]
     return row
+
+
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q", an integer string, or a plain decimal like "0.31".
+
+    Raises TypeError for anything but a string and ValueError for
+    malformed text, a zero denominator included, or for more digits or a
+    larger exponent than ``sys.get_int_max_str_digits()`` allows.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"a rational must be given as text, got {text!r}")
+    # Python before 3.10.7 has no such limit; its later default stands in.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if limit:
+        if sum(c.isdigit() for c in text) > limit:
+            raise ValueError(f"a rational may have at most {limit} digits")
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1].replace("_", ""))) > limit:
+            raise ValueError(f"a decimal exponent may be at most {limit} in magnitude")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical string for a rational: "p/q", or "p" when q = 1."""
+    return str(value)
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class Point:
+    """A point of the plane with exact rational coordinates."""
+
+    x: Fraction
+    y: Fraction
+
+    def to_json(self) -> dict:
+        return {"x": format_rational(self.x), "y": format_rational(self.y)}
+
+    @classmethod
+    def from_json(cls, obj: Mapping) -> "Point":
+        if not isinstance(obj, Mapping) or "x" not in obj or "y" not in obj:
+            raise ValueError(f"a point must be an object with x and y, got {obj!r}")
+        return cls(parse_rational(obj["x"]), parse_rational(obj["y"]))
+
+    def __str__(self) -> str:
+        return f"({self.x}, {self.y})"
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,9 +16,10 @@ from cantorquant.engine import (
     lloyd_step,
     multistart_search,
 )
-from cantorquant.measure import Point, cell_moments, map_T, map_U, map_T_word
+from cantorquant.measure import cell_moments, dist2, map_T, map_U, map_T_word
 from cantorquant.optimal import (
     Codebook,
+    Point,
     count_variants,
     optimal_codebook,
     quantization_error,
@@ -124,7 +125,7 @@ def _rect_moments(word: PairWord) -> tuple:
 
 
 def _union_distortion(rects: list, center: Point) -> Fraction:
-    return sum(second + mass * c.dist2(center) for mass, c, second in rects)
+    return sum(second + mass * dist2(c, center) for mass, c, second in rects)
 
 
 def _union_centroid(rects: list) -> Point:

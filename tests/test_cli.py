@@ -17,8 +17,14 @@ import pytest
 from cantorquant import cli
 from cantorquant.cli import build_parser, main
 from cantorquant.engine import CertifiedInterval, MultistartResult, RunRecord, RunStatus
-from cantorquant.measure import cell_interval, format_rational
-from cantorquant.optimal import count_variants, optimal_codebook, quantization_error, spread_indices
+from cantorquant.measure import cell_interval
+from cantorquant.optimal import (
+    count_variants,
+    format_rational,
+    optimal_codebook,
+    quantization_error,
+    spread_indices,
+)
 from cantorquant.plot import (
     BOARD,
     CANVAS,
@@ -327,6 +333,10 @@ FAILURES = {
     "distortion-tol-text": lambda d: (
         ["distortion", "--codebook", f"{d}/book.json", "--tol", "abc"], 1,
         "Invalid literal for Fraction: 'abc'"),
+    # A bad tolerance is a usage error even when the file is unreadable too.
+    "distortion-tol-before-read": lambda d: (
+        ["distortion", "--codebook", f"{d}/none.json", "--tol", "abc"], 1,
+        "Invalid literal for Fraction: 'abc'"),
     "optimal-out": lambda d: (
         ["optimal", "2", "--out", f"{d}/none/x.json"], 3,
         f"cannot write {d}/none/x.json: {_os_error(errno.ENOENT, f'{d}/none/x.json')}"),
@@ -622,32 +632,76 @@ class TestUsage:
         assert info.value.code == 1
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme() -> str:
+    return (ROOT / "README.md").read_text()
+
+
+def _fresh(argv: list[str], cwd: Path = ROOT) -> subprocess.CompletedProcess:
+    """Run argv after the interpreter in a new process on this tree's src."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cantorquant", "error", "4"],
-        capture_output=True, text=True,
-    )
+    proc = _fresh(["-m", "cantorquant", "error", "4"])
     assert proc.returncode == 0
     assert proc.stdout == "1/36 = 0.02777777778 (approx)\n"
 
 
+def test_runtime_imports_leave_the_paper_model_unloaded():
+    # The runtime builds, checks and draws on the product form alone; the
+    # paper's map model is for the acceptance criteria and the oracles.
+    proc = _fresh(["-c", "import sys, cantorquant, cantorquant.cli; print(*sys.modules)"])
+    loaded = proc.stdout.split()
+    assert "cantorquant.cli" in loaded, proc.stderr
+    assert "cantorquant.measure" not in loaded
+    assert "cantorquant.words" not in loaded
+
+
 def test_readme_library_sketch_runs():
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text()
-    sketch = re.search(r"## Library sketch\n+```python\n(.*?)```", readme, re.DOTALL)
+    sketch = re.search(r"## Library sketch\n+```python\n(.*?)```", _readme(), re.DOTALL)
     assert sketch is not None
-    proc = subprocess.run(
-        [sys.executable, "-c", sketch[1]],
-        capture_output=True, text=True, cwd=root,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
+    proc = _fresh(["-c", sketch[1]])
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_printed_lines_match():
+    examples = re.findall(r"^cantorquant ((?:error|count) .*)\n# (.*)$", _readme(), re.M)
+    assert len(examples) == 2, examples
+    for args, expected in examples:
+        proc = _fresh(["-m", "cantorquant", *args.split()])
+        assert (proc.returncode, proc.stdout.strip()) == (0, expected), args
+
+
+def test_readme_verify_examples_pass():
+    examples = re.findall(r"^cantorquant (verify .*)$", _readme(), re.M)
+    assert examples
+    for args in examples:
+        proc = _fresh(["-m", "cantorquant", *args.split()])
+        assert proc.returncode == 0, args + "\n" + proc.stdout + proc.stderr
+
+
+def test_readme_file_examples(tmp_path):
+    readme = _readme()
+    written = re.search(r"^cantorquant (optimal .* --out (\S+))$", readme, re.M)
+    read = re.search(r"^cantorquant (distortion --codebook (\S+))\n# (.*)$", readme, re.M)
+    assert written and read and written[2] == read[2]
+    assert _fresh(["-m", "cantorquant", *written[1].split()], tmp_path).returncode == 0
+    proc = _fresh(["-m", "cantorquant", *read[1].split()], tmp_path)
+    assert (proc.returncode, proc.stdout.strip()) == (0, read[3])
+    plotted = re.search(r"^cantorquant (plot (\d+) --depth (\d+) --out (\S+))$", readme, re.M)
+    assert plotted
+    assert _fresh(["-m", "cantorquant", *plotted[1].split()], tmp_path).returncode == 0
+    svg = (tmp_path / plotted[4]).read_text()
+    assert (svg.count("<rect "), svg.count("<circle ")) == (
+        4 ** int(plotted[3]), int(plotted[2]))
+
+
 def test_readme_commands_parse():
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text()
-    blocks = re.findall(r"```[a-z]*\n(.*?)```", readme, re.DOTALL)
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", _readme(), re.DOTALL)
     commands = [line.split()[1:] for block in blocks for line in block.splitlines()
                 if line.startswith("cantorquant ")]
     assert len(commands) >= 9

@@ -25,9 +25,10 @@ from cantorquant.engine import (
     _LatticeBook,
     _walk,
 )
-from cantorquant.measure import Point, cell_interval, cell_moments
+from cantorquant.measure import cell_interval, cell_moments, dist2
 from cantorquant.optimal import (
     Codebook,
+    Point,
     count_variants,
     optimal_codebook,
     quantization_error,
@@ -143,7 +144,7 @@ class TestExactDistortion:
         iv = exact_distortion(Codebook.of([center]))
         mass, centroid, second = cell_moments(BinaryWord(""), BinaryWord(""))
         assert iv.exact
-        assert iv.lower == second + mass * centroid.dist2(center)
+        assert iv.lower == second + mass * dist2(centroid, center)
 
     def test_diagonal_intervals_nest(self):
         tiny = Fraction(1, 10**30)
@@ -331,6 +332,21 @@ class TestMultistart:
         assert sum(tally.values()) == 10
         assert tally[RunStatus.RESOLUTION_FAILURE] > 0
 
+    @pytest.mark.parametrize("args,message", [
+        ((0, 3, 1, 6), "multistart_search requires n >= 1, got 0"),
+        ((2, 0, 1, 6), "multistart_search requires seeds >= 1, got 0"),
+        ((2, 3, 1, -1), "depth must be >= 0, got -1"),
+    ], ids=["n", "seeds", "depth"])
+    def test_rejects_bad_parameters(self, args, message):
+        with pytest.raises(ValueError) as info:
+            multistart_search(*args)
+        assert str(info.value) == message
+
+    def test_degenerate_means_a_repeated_start_point(self, monkeypatch):
+        monkeypatch.setattr(Lcg64, "next_fraction", lambda self: HALF)
+        tally = multistart_search(2, 3, 1, 6).tally()
+        assert tally[RunStatus.DEGENERATE] == 3
+
     def test_statuses_are_stable_strings(self):
         assert {s.value for s in RunStatus} == {
             "converged", "max-iters", "resolution-failure",
@@ -397,7 +413,7 @@ def ref_integral(rect, p):
     _, _, x0, x1, y0, y1 = rect
     mass = ref_mass(rect)
     second = mass * 2 * (x1 - x0) ** 2 / 8
-    return second + mass * Point((x0 + x1) / 2, (y0 + y1) / 2).dist2(p)
+    return second + mass * dist2(Point((x0 + x1) / 2, (y0 + y1) / 2), p)
 
 
 def ref_bracket(points, active, rect):

@@ -1,4 +1,5 @@
-"""Maps, intervals, cell masses, regions, and the block/binary conjugacy."""
+"""Maps, intervals, cell masses, regions, the block/binary conjugacy,
+and the optimal module's Point and rational text."""
 
 import itertools
 import sys
@@ -8,16 +9,15 @@ import pytest
 
 from cantorquant.measure import (
     Map1D,
-    Point,
     cantor_point,
     cell_interval,
     cell_moments,
-    format_rational,
+    dist2,
     map_T,
     map_T_word,
     map_U,
-    parse_rational,
 )
+from cantorquant.optimal import Point, format_rational, parse_rational
 from cantorquant.words import BinaryWord, F_map, NatWord, PairWord, components
 
 HALF = Fraction(1, 2)
@@ -62,8 +62,8 @@ class TestRationalText:
 class TestPoint:
     def test_dist2(self):
         zero, one = Fraction(0), Fraction(1)
-        assert Point(zero, zero).dist2(Point(one, one)) == 2
-        assert Point(HALF, HALF).dist2(Point(HALF, HALF)) == 0
+        assert dist2(Point(zero, zero), Point(one, one)) == 2
+        assert dist2(Point(HALF, HALF), Point(HALF, HALF)) == 0
 
     def test_json_roundtrip(self):
         p = Point(Fraction(5, 36), Fraction(7, 10))

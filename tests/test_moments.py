@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from cantorquant.measure import Point, cell_interval, cell_moments, map_T_word
+from cantorquant.measure import cell_interval, cell_moments, dist2, map_T_word
+from cantorquant.optimal import Point
 from cantorquant.words import BinaryWord, F_map, PairWord, components
 
 HALF = Fraction(1, 2)
@@ -27,7 +28,7 @@ def cell_of(word: PairWord, inf_x: bool = False, inf_y: bool = False):
 def about(cell, center: Point) -> Fraction:
     """Integral of |p - center|^2 over the cell, by the parallel-axis form."""
     mass, centroid, second = cell_moments(*cell)
-    return second + mass * centroid.dist2(center)
+    return second + mass * dist2(centroid, center)
 
 
 def union_centroid(cells) -> Point:

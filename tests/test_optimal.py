@@ -12,9 +12,10 @@ import pytest
 
 from cantorquant.cli import main
 from cantorquant.engine import Cell
-from cantorquant.measure import Point, cantor_point, cell_interval
+from cantorquant.measure import cantor_point, cell_interval
 from cantorquant.optimal import (
     Codebook,
+    Point,
     VariantSpec,
     _cell_counts,
     _count_bits,
