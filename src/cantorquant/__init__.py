@@ -8,10 +8,11 @@ interval arithmetic over the product cell tree) plus Lloyd iteration
 and multistart search.  All arithmetic is exact; floats never appear.
 
 Every other name is importable from its own module: ``words``,
-``measure``, ``optimal``, ``engine``, ``plot`` and ``cli``.
+``measure``, ``optimal``, ``engine`` and ``plot``.  The command line,
+which owns every text format the program reads, is not imported here:
+``from cantorquant import cli`` loads it by name.
 """
 
-from . import cli
 from .engine import (
     exact_distortion,
     iter_assignments,
@@ -37,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Codebook",
     "Point",
-    "cli",
     "codebook_for",
     "count_variants",
     "exact_distortion",

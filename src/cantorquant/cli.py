@@ -15,6 +15,11 @@ or no multistart run finished, since it then has no evidence.  Codebook
 files are read as UTF-8, as JSON is.  A variant count whose lower bound
 is already too long to print is refused before it is computed, as is a
 ``plot`` deeper than PLOT_DEPTH_LIMIT.  A closed stdout gives exit 3.
+
+This module owns every text format the program reads: rational text
+(parse_rational, with the interpreter's digit limit), the codebook file
+(read_codebook, beside the writers) and the interval JSON.  The package
+does not import it; it is loaded by name, as ``cantorquant.cli``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -37,11 +43,11 @@ from .engine import (
 )
 from .optimal import (
     Codebook,
+    Point,
     _count_bits,
     count_variants,
     format_rational,
     optimal_codebook,
-    parse_rational,
     quantization_error,
     spread_indices,
 )
@@ -86,6 +92,32 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return value
+
+
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q", an integer string, or a plain decimal like "0.31".
+
+    Raises TypeError for anything but a string and ValueError for
+    malformed text, a zero denominator included, or for more digits or a
+    larger exponent than ``sys.get_int_max_str_digits()`` allows.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"a rational must be given as text, got {text!r}")
+    # Python before 3.10.7 has no such limit; its later default stands in.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if limit:
+        if sum(c.isdigit() for c in text) > limit:
+            raise ValueError(f"a rational may have at most {limit} digits")
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1].replace("_", ""))) > limit:
+            raise ValueError(f"a decimal exponent may be at most {limit} in magnitude")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_tolerance(text: str) -> Fraction:
@@ -179,6 +211,25 @@ def _json_points(pairs: list[tuple[int, int]], texts: dict, pad: str) -> str:
     )
 
 
+def read_codebook(obj) -> Codebook:
+    """The codebook of a parsed JSON object in the form that ``optimal``
+    writes; raises ValueError or TypeError."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("points"), list):
+        raise ValueError("a codebook must be an object with a list of points")
+    points = []
+    for entry in obj["points"]:
+        if not isinstance(entry, dict) or "x" not in entry or "y" not in entry:
+            raise ValueError(f"a point must be an object with x and y, got {entry!r}")
+        points.append(Point(parse_rational(entry["x"]), parse_rational(entry["y"])))
+    book = Codebook.of(points)
+    declared = obj.get("n")
+    if declared is not None and type(declared) is not int:
+        raise TypeError(f"codebook field n must be an integer, got {declared!r}")
+    if declared is not None and declared != len(book):
+        raise ValueError(f"codebook declares n={declared} but has {len(book)} points")
+    return book
+
+
 def cmd_optimal(args: argparse.Namespace) -> int:
     n = args.n
     error = quantization_error(n)
@@ -255,12 +306,13 @@ def cmd_distortion(args: argparse.Namespace) -> int:
         raise _Failure(EXIT_IO, f"parse error in {path} at line {err.lineno}, "
                        f"column {err.colno}: {err.msg}")
     try:
-        book = Codebook.from_json_obj(obj)
+        book = read_codebook(obj)
     except (TypeError, ValueError) as err:
         raise _Failure(EXIT_IO, f"invalid codebook in {path}: {err}")
     interval = exact_distortion(book, tol, args.depth)
     try:
-        text = json.dumps(interval.to_json_obj())
+        text = json.dumps({"lower": format_rational(interval.lower),
+                           "upper": format_rational(interval.upper), "exact": interval.exact})
     except ValueError as err:
         raise _Failure(EXIT_IO, f"cannot print the distortion of {path}: {err}")
     print(text)

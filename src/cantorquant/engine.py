@@ -23,7 +23,8 @@ integers; a Cell is built only where the API returns or names one.
 Distances appear only squared; no roots, no rounding.  exact_distortion
 sums its bounds as integers in the unit 1/(4 * 36^deep * D^2), D the
 codebook's denominator and deep the depth of the deepest cell met so
-far, and turns them into Fractions once, at return.
+far, and turns them into Fractions once, at return.  The engine reads
+and writes no text: the CLI parses codebook files and prints intervals.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .optimal import Codebook, Point, format_rational
+from .optimal import Codebook, Point
 
 DEFAULT_TOLERANCE = Fraction(1, 10**12)
 DEFAULT_MAX_DEPTH = 40
@@ -57,15 +58,6 @@ class Cell(NamedTuple):
     depth: int
     x: int
     y: int
-
-    @property
-    def mass(self) -> Fraction:
-        return Fraction(1, 4**self.depth)
-
-    def children(self) -> tuple[Cell, Cell, Cell, Cell]:
-        """The four subcells one level down, in address order."""
-        d, x, y = self.depth + 1, 3 * self.x, 3 * self.y
-        return (Cell(d, x, y), Cell(d, x, y + 2), Cell(d, x + 2, y), Cell(d, x + 2, y + 2))
 
     def address(self) -> str:
         """The binary word pair, e.g. "(12,21)"; an empty word prints as ∅."""
@@ -119,8 +111,6 @@ class _LatticeBook:
             gap = ex * ex + ey * ey
             if best is None or gap < best:
                 z, best = i, gap
-        if len(active) == 1:
-            return z, best, active
         scaled, norms = self.scaled, self.norms
         (xz, yz), kz = scaled[z], s * norms[z]
         keep = []
@@ -191,13 +181,6 @@ class CertifiedInterval:
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
-
-    def to_json_obj(self) -> dict:
-        return {
-            "lower": format_rational(self.lower),
-            "upper": format_rational(self.upper),
-            "exact": self.exact,
-        }
 
 
 @dataclass(frozen=True, slots=True)

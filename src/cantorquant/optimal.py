@@ -34,20 +34,19 @@ Subsets are ranked and unranked in the combinatorial number system.
 A Codebook holds its points as sorted integer numerator pairs over their
 least common denominator, which codebook_for assembles directly and the
 engine, the CLI and plot read directly; Fractions are made only where
-Points come in (Codebook.of) or go out (Codebook.points).  Point and its
-"p/q" text (parse_rational, format_rational) live here beside Codebook,
-so the runtime never loads the paper's map model, measure and words.
+Points come in (Codebook.of) or go out (Codebook.points).  Point and
+format_rational, its "p/q" text, live here beside Codebook, so the
+runtime never loads the paper's map model, measure and words.  Nothing
+here reads text: the codebook file and rational parsing are the CLI's.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 
 # ============================================================
@@ -264,32 +263,6 @@ def lattice_row(ell: int) -> list[int]:
     return row
 
 
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)", re.IGNORECASE)
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer string, or a plain decimal like "0.31".
-
-    Raises TypeError for anything but a string and ValueError for
-    malformed text, a zero denominator included, or for more digits or a
-    larger exponent than ``sys.get_int_max_str_digits()`` allows.
-    """
-    if not isinstance(text, str):
-        raise TypeError(f"a rational must be given as text, got {text!r}")
-    # Python before 3.10.7 has no such limit; its later default stands in.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    if limit:
-        if sum(c.isdigit() for c in text) > limit:
-            raise ValueError(f"a rational may have at most {limit} digits")
-        exponent = _EXPONENT.search(text)
-        if exponent and abs(int(exponent[1].replace("_", ""))) > limit:
-            raise ValueError(f"a decimal exponent may be at most {limit} in magnitude")
-    try:
-        return Fraction(text.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def format_rational(value: Fraction) -> str:
     """Canonical string for a rational: "p/q", or "p" when q = 1."""
     return str(value)
@@ -304,12 +277,6 @@ class Point:
 
     def to_json(self) -> dict:
         return {"x": format_rational(self.x), "y": format_rational(self.y)}
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "Point":
-        if not isinstance(obj, Mapping) or "x" not in obj or "y" not in obj:
-            raise ValueError(f"a point must be an object with x and y, got {obj!r}")
-        return cls(parse_rational(obj["x"]), parse_rational(obj["y"]))
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
@@ -359,19 +326,6 @@ class Codebook:
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Codebook":
-        """Read the form that ``optimal`` writes; raises ValueError or TypeError."""
-        if not isinstance(obj, Mapping) or not isinstance(obj.get("points"), list):
-            raise ValueError("a codebook must be an object with a list of points")
-        book = cls.of(Point.from_json(entry) for entry in obj["points"])
-        declared = obj.get("n")
-        if declared is not None and type(declared) is not int:
-            raise TypeError(f"codebook field n must be an integer, got {declared!r}")
-        if declared is not None and declared != len(book):
-            raise ValueError(f"codebook declares n={declared} but has {len(book)} points")
-        return book
 
 
 def codebook_for(spec: VariantSpec) -> Codebook:

@@ -661,6 +661,17 @@ def test_runtime_imports_leave_the_paper_model_unloaded():
     assert "cantorquant.words" not in loaded
 
 
+def test_package_import_leaves_the_cli_unloaded():
+    # The command line is a leaf: the library needs neither it nor argparse.
+    proc = _fresh(["-c", "import sys, cantorquant; print(*sys.modules); "
+                         "from cantorquant import cli; print(cli.main.__module__)"])
+    loaded, imported = proc.stdout.splitlines()
+    assert "cantorquant" in loaded.split(), proc.stderr
+    for name in ("cantorquant.cli", "argparse", "cantorquant.measure", "cantorquant.words"):
+        assert name not in loaded.split()
+    assert imported == "cantorquant.cli"
+
+
 def test_readme_library_sketch_runs():
     sketch = re.search(r"## Library sketch\n+```python\n(.*?)```", _readme(), re.DOTALL)
     assert sketch is not None

@@ -2,12 +2,14 @@
 
 import heapq
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from cantorquant.cli import main
 from cantorquant.engine import (
     UNRESOLVED,
     Cell,
@@ -51,24 +53,34 @@ THREE_DOWN = book_of(("1/6", "1/6"), ("5/6", "1/6"), ("1/2", "5/6"))
 ROOT = Cell(0, 0, 0)
 
 
+def cell_mass(cell: Cell) -> Fraction:
+    return Fraction(1, 4**cell.depth)
+
+
+def children(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
+    """The four subcells one level down, in address order."""
+    d, x, y = cell.depth + 1, 3 * cell.x, 3 * cell.y
+    return (Cell(d, x, y), Cell(d, x, y + 2), Cell(d, x + 2, y), Cell(d, x + 2, y + 2))
+
+
 def cell_at(sigma: str, tau: str) -> Cell:
     """The cell reached from the root by the digits of (sigma, tau)."""
     cell = ROOT
     for a, b in zip(sigma, tau):
-        cell = cell.children()[2 * (a == "2") + (b == "2")]
+        cell = children(cell)[2 * (a == "2") + (b == "2")]
     return cell
 
 
 class TestCell:
     def test_root_address(self):
         assert ROOT.address() == "(∅,∅)"
-        assert ROOT.mass == 1
+        assert cell_mass(ROOT) == 1
 
     def test_address_round_trips(self):
         cell = cell_at("12", "21")
         assert cell == Cell(2, 2, 6)
         assert cell.address() == "(12,21)"
-        assert cell.mass == Fraction(1, 16)
+        assert cell_mass(cell) == Fraction(1, 16)
         scale = 3**cell.depth
         assert cell_interval(BinaryWord("12")) == (
             Fraction(cell.x, scale), Fraction(cell.x + 1, scale))
@@ -77,10 +89,10 @@ class TestCell:
 
     def test_children_masses_sum_to_parent(self):
         cell = cell_at("12", "21")
-        children = cell.children()
-        assert [c.address() for c in children] == [
+        subcells = children(cell)
+        assert [c.address() for c in subcells] == [
             "(121,211)", "(121,212)", "(122,211)", "(122,212)"]
-        assert sum(c.mass for c in children) == cell.mass
+        assert sum(cell_mass(c) for c in subcells) == cell_mass(cell)
 
 
 class TestResolveCell:
@@ -172,11 +184,13 @@ class TestExactDistortion:
         with pytest.raises(ValueError):
             exact_distortion(HORIZONTAL_PAIR, tolerance=Fraction(-1))
 
-    def test_interval_json(self):
-        iv = exact_distortion(HORIZONTAL_PAIR)
-        obj = iv.to_json_obj()
-        assert obj["exact"] is True
-        assert obj["lower"] == "5/36"
+    def test_interval_json(self, tmp_path, capsys):
+        # The engine returns the interval; the CLI prints its JSON.
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"points": [p.to_json() for p in HORIZONTAL_PAIR]}))
+        assert main(["distortion", "--codebook", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "lower": "5/36", "upper": "5/36", "exact": True}
 
 
 class TestAssignments:
@@ -185,7 +199,7 @@ class TestAssignments:
         owners = set()
         for assign in iter_assignments(optimal_codebook(4), 8):
             assert assign.owner is not UNRESOLVED
-            total += assign.cell.mass
+            total += cell_mass(assign.cell)
             owners.add(assign.owner)
         assert total == 1
         assert owners == {0, 1, 2, 3}
@@ -568,17 +582,26 @@ class TestAgainstReferenceWalker:
     @pytest.mark.parametrize("family", sorted(CORPUS))
     def test_partitions_match(self, family):
         for book, _, _, depth in CORPUS[family]:
-            got = [(a.cell.address(), a.cell.mass, a.owner)
+            got = [(a.cell.address(), cell_mass(a.cell), a.owner)
                    for a in iter_assignments(book, depth)]
             want = [(ref_address(r), ref_mass(r), owner)
                     for r, owner in ref_assignments(book, depth)]
             assert got == want
 
-    @pytest.mark.parametrize("family", sorted(CORPUS))
+    @pytest.mark.parametrize("family", [*sorted(CORPUS), "moving"])
     def test_lloyd_steps_match(self, family):
-        for book, _, _, depth in CORPUS[family]:
+        # Every CORPUS book is a fixed point or never resolves, so only the
+        # moving input checks a step that moves.
+        if family == "moving":
+            nudged = nudged_books()
+            assert len(nudged) == 236
+            entries = nudged + lloyd_paths()
+        else:
+            entries = CORPUS[family]
+        for book, _, _, depth in entries:
             got = step_outcome(lloyd_step, book, depth)
             assert got == step_outcome(ref_lloyd_step, book, depth)
+            assert family != "moving" or got != book
 
 
 def old_survivors(book, cell, active):
@@ -627,7 +650,7 @@ def test_kernel_matches_its_former_form(family):
             cell, active = stack.pop()
             want = old_survivors(lattice, cell, active)
             assert lattice.split(cell.depth, cell.x, cell.y, active) == want
-            one = want[:1]  # split's shortcut for a single active codeword
+            one = want[:1]  # a single active codeword
             assert (lattice.split(cell.depth, cell.x, cell.y, one)
                     == old_survivors(lattice, cell, one))
             surv = want[2]
@@ -635,7 +658,7 @@ def test_kernel_matches_its_former_form(family):
                     == old_lower_gap(lattice, cell, surv))
             cells += 1
             if len(surv) > 1 and cell.depth < depth:
-                stack.extend((child, surv) for child in cell.children())
+                stack.extend((child, surv) for child in children(cell))
     assert cells > 10 * len(CORPUS[family])
 
 
@@ -678,6 +701,22 @@ def lloyd_paths(starts=40, depth=12):
                 books.append(book)
                 book = nxt
     return [(book, None, None, depth) for book in books]
+
+
+def nudged_books(depth=12):
+    """optimal_codebook(n) for n = 2..16 with one codeword moved by 1/100
+    along x or along y, wherever the step from it resolves and moves it."""
+    nudges = ((Fraction(1, 100), 0), (0, Fraction(1, 100)))
+    books = []
+    for n in range(2, 17):
+        points = list(optimal_codebook(n).points)
+        for i, (dx, dy) in itertools.product(range(n), nudges):
+            book = Codebook.of([*points[:i], Point(points[i].x + dx, points[i].y + dy),
+                                *points[i + 1:]])
+            nxt = step_outcome(lloyd_step, book, depth)
+            if isinstance(nxt, Codebook) and nxt != book:
+                books.append((book, None, None, depth))
+    return books
 
 
 @pytest.mark.parametrize("family", [*sorted(CORPUS), "lloyd-paths"])

@@ -1,5 +1,5 @@
 """Maps, intervals, cell masses, regions, the block/binary conjugacy,
-and the optimal module's Point and rational text."""
+the optimal module's Point, and the CLI's rational and point text."""
 
 import itertools
 import sys
@@ -17,7 +17,8 @@ from cantorquant.measure import (
     map_T_word,
     map_U,
 )
-from cantorquant.optimal import Point, format_rational, parse_rational
+from cantorquant.cli import parse_rational, read_codebook
+from cantorquant.optimal import Point, format_rational
 from cantorquant.words import BinaryWord, F_map, NatWord, PairWord, components
 
 HALF = Fraction(1, 2)
@@ -67,7 +68,7 @@ class TestPoint:
 
     def test_json_roundtrip(self):
         p = Point(Fraction(5, 36), Fraction(7, 10))
-        assert Point.from_json(p.to_json()) == p
+        assert read_codebook({"points": [p.to_json()]}).points == (p,)
 
 
 class TestBlockMaps:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from cantorquant.cli import main
+from cantorquant.cli import main, read_codebook
 from cantorquant.engine import Cell
 from cantorquant.measure import cantor_point, cell_interval
 from cantorquant.optimal import (
@@ -302,17 +302,17 @@ class TestCodebookContainer:
             Codebook.over(6, [])
 
     def test_json_roundtrip(self, tmp_path):
-        # The CLI writes the file; the library reads it back.
+        # The CLI writes the file and reads it back.
         path = tmp_path / "book.json"
         assert main(["optimal", "5", "--variant", "3", "--out", str(path)]) == 0
         obj = json.loads(path.read_text(encoding="utf-8"))
         assert obj["n"] == 5
-        assert Codebook.from_json_obj(obj) == optimal_codebook(5, 3)
+        assert read_codebook(obj) == optimal_codebook(5, 3)
 
     def test_json_n_mismatch(self):
         obj = {"n": 3, "points": [{"x": "0", "y": "0"}]}
-        with pytest.raises(ValueError):
-            Codebook.from_json_obj(obj)
+        with pytest.raises(ValueError, match=r"^codebook declares n=3 but has 1 points$"):
+            read_codebook(obj)
 
 
 # The pre-lattice assembly: every coordinate composed by cantor_point
