@@ -19,7 +19,7 @@ enclosure, and it is exact whenever the recursion terminates.
 Two walks share the one filter kernel, _LatticeBook.split: the
 best-first exact_distortion and the depth-first _walk under
 iter_assignments and lloyd_step.  Both carry cells as bare (depth, x, y)
-integers; a Cell is built only where the API returns or names one.
+integers, and a leaf of _walk is one (depth, x, y, owner) CellAssignment.
 Distances appear only squared; no roots, no rounding.  exact_distortion
 sums its bounds as integers in the unit 1/(4 * 36^deep * D^2), D the
 codebook's denominator and deep the depth of the deepest cell met so
@@ -44,11 +44,10 @@ DEFAULT_MAX_DEPTH = 40
 # Iteration cap of lloyd.
 _MAX_ITERS = 50
 
-UNRESOLVED = None
 
-
-class Cell(NamedTuple):
-    """The depth-d product cell [x, x+1] x [y, y+1] * 3^-d.
+class CellAssignment(NamedTuple):
+    """The depth-d product cell [x, x+1] x [y, y+1] * 3^-d and the codeword
+    that owns all of it, or None when it is still contested at the cutoff.
 
     These are the cells U_s[0,1] x U_t[0,1] with |s| = |t| = d: the base-3
     digits of x spell s with 0 for the map U_1 and 2 for U_2, and those of
@@ -58,18 +57,7 @@ class Cell(NamedTuple):
     depth: int
     x: int
     y: int
-
-    def address(self) -> str:
-        """The binary word pair, e.g. "(12,21)"; an empty word prints as ∅."""
-        return f"({_binary_word(self.x, self.depth)},{_binary_word(self.y, self.depth)})"
-
-
-def _binary_word(v: int, depth: int) -> str:
-    digits = []
-    for _ in range(depth):
-        v, r = divmod(v, 3)
-        digits.append("1" if r == 0 else "2")
-    return "".join(reversed(digits)) or "∅"
+    owner: int | None
 
 
 class _LatticeBook:
@@ -141,17 +129,12 @@ class _LatticeBook:
 
 
 class ResolutionError(Exception):
-    """Voronoi resolution did not terminate at the requested depth."""
+    """Voronoi resolution did not terminate at the requested depth: cell is
+    the first leaf still contested at the cutoff, which is cell.depth."""
 
-    NAMED_LIMIT = 32
-
-    def __init__(self, depth: int, cells: list[str], truncated: bool = False):
-        self.depth = depth
-        self.cells = tuple(cells[: self.NAMED_LIMIT])
-        self.truncated = truncated or len(cells) > len(self.cells)
-        listing = ", ".join(self.cells)
-        count = f"at least {len(self.cells)}" if self.truncated else str(len(self.cells))
-        super().__init__(f"{count} cells unresolved at depth {depth}: {listing}")
+    def __init__(self, cell: CellAssignment):
+        self.cell = cell
+        super().__init__(f"cell unresolved at depth {cell.depth}: x={cell.x}, y={cell.y}")
 
 
 class EmptyRegionError(Exception):
@@ -181,14 +164,6 @@ class CertifiedInterval:
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
-
-
-@dataclass(frozen=True, slots=True)
-class CellAssignment:
-    """A product cell together with its owning codeword, if unique."""
-
-    cell: Cell
-    owner: int | None
 
 
 def exact_distortion(
@@ -279,7 +254,7 @@ def _walk(book: _LatticeBook, n: int, depth: int) -> Iterator[tuple[int, int, in
         if len(surv) == 1:
             yield c, x, y, surv[0]
         elif c >= depth:
-            yield c, x, y, UNRESOLVED
+            yield c, x, y, None
         else:
             c, x, y = c + 1, 3 * x, 3 * y
             stack += ((c, x + 2, y + 2, surv), (c, x + 2, y, surv),
@@ -289,42 +264,35 @@ def _walk(book: _LatticeBook, n: int, depth: int) -> Iterator[tuple[int, int, in
 def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]:
     """Maximal resolved cells of the tree, cut off at the given depth.
 
-    Yields each cell the moment it resolves, so a cell resolved at depth
-    2 stands for all its depth-5 descendants.  Cells still contested at
-    the cutoff are yielded with owner None.
+    Yields each cell as a (depth, x, y, owner) record the moment it
+    resolves, so a cell resolved at depth 2 stands for all its depth-5
+    descendants.  Cells still contested at the cutoff are yielded with
+    owner None, in the depth-first order of the walk.
     """
-    for c, x, y, owner in _walk(_LatticeBook(codebook), len(codebook), depth):
-        yield CellAssignment(Cell(c, x, y), owner)
+    return map(CellAssignment._make, _walk(_LatticeBook(codebook), len(codebook), depth))
 
 
 def lloyd_step(codebook: Codebook, depth: int) -> Codebook:
     """One exact centroid update over the depth-resolved partition.
 
-    Every codeword moves to the mass centroid of the cells it owns.
-    Cells still contested at the cutoff abort the step: the partition is
-    not known, so no centroid may be trusted.  A boundary that runs
-    through the support contests exponentially many cells, so the scan
-    stops as soon as the naming limit is reached rather than enumerating
-    them all; one contested cell already dooms the step.
+    Every codeword moves to the mass centroid of the cells it owns.  The
+    first cell still contested at the cutoff, in walk order, aborts the
+    step with a ResolutionError that names it: the partition is not
+    known, so no centroid may be trusted.  A contested cell thus wins
+    over an empty region, which only the whole walk can show.
     """
     k = len(codebook)
     # Masses in units of 4^-depth, first moments in units of 4^-depth /
     # (2 * 3^depth), the cell midpoint being (2x+1) / (2 * 3^d); a depth-c
     # cell weighs 4^u and 12^u in them, u = depth - c.
     mass, mx, my = [0] * k, [0] * k, [0] * k
-    failed: list[str] = []
     for c, x, y, owner in _walk(_LatticeBook(codebook), k, depth):
-        if owner is UNRESOLVED:
-            failed.append(Cell(c, x, y).address())
-            if len(failed) >= ResolutionError.NAMED_LIMIT:
-                raise ResolutionError(depth, failed, truncated=True)
-            continue
+        if owner is None:
+            raise ResolutionError(CellAssignment(c, x, y, None))
         w = 12 ** (depth - c)
         mass[owner] += 4 ** (depth - c)
         mx[owner] += w * (2 * x + 1)
         my[owner] += w * (2 * y + 1)
-    if failed:
-        raise ResolutionError(depth, failed)
     empty = [i for i in range(k) if mass[i] == 0]
     if empty:
         raise EmptyRegionError(empty)

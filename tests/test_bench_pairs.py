@@ -71,3 +71,22 @@ def test_verdict_lower_is_better():
     narrow = [0.0500, 0.0505, 0.0510, 0.0515]
     assert verdicts(setup_s=(narrow, [0.0600, 0.0610, 0.0620, 0.0630]))["setup_s"] == "within"
     assert verdicts(setup_s=(narrow, [0.0640, 0.0650, 0.0660, 0.0700]))["setup_s"] == "worse"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--pairs", "certfy=1"],
+    ["--pairs", "certify=1", "--trace", "dusty"],
+], ids=["pairs", "trace"])
+def test_unknown_workload_fails_before_any_run(monkeypatch, tmp_path, capsys, argv):
+    def never(*args):
+        raise AssertionError("ran a workload")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", never)
+    monkeypatch.setattr(bench_pairs, "setup_probe", never)
+    root = _PATH.parents[1]
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(["--parent", str(root), "--change", str(root), "--out", str(out), *argv])
+    assert info.value.code == 2
+    assert "unknown workload" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,8 +11,6 @@ import pytest
 
 from cantorquant.cli import main
 from cantorquant.engine import (
-    UNRESOLVED,
-    Cell,
     CellAssignment,
     CertifiedInterval,
     EmptyRegionError,
@@ -25,7 +23,6 @@ from cantorquant.engine import (
     lloyd_step,
     multistart_search,
     _LatticeBook,
-    _walk,
 )
 from cantorquant.measure import cell_interval, cell_moments, dist2
 from cantorquant.optimal import (
@@ -50,48 +47,50 @@ DIAGONAL_PAIR = book_of(("3/10", "7/10"), ("7/10", "3/10"))
 THREE_DOWN = book_of(("1/6", "1/6"), ("5/6", "1/6"), ("1/2", "5/6"))
 
 
-ROOT = Cell(0, 0, 0)
+def cell_at(sigma: str, tau: str) -> tuple[int, int, int]:
+    """The (depth, x, y) position of the cell U_sigma[0,1] x U_tau[0,1],
+    read off the word model."""
+    return len(sigma), BinaryWord(sigma).lattice, BinaryWord(tau).lattice
 
 
-def cell_mass(cell: Cell) -> Fraction:
-    return Fraction(1, 4**cell.depth)
+ROOT = cell_at("", "")
 
 
-def children(cell: Cell) -> tuple[Cell, Cell, Cell, Cell]:
+def cell_mass(cell) -> Fraction:
+    """The mass of the cell at (depth, x, y), or of a leaf record."""
+    return Fraction(1, 4 ** cell[0])
+
+
+def children(cell):
     """The four subcells one level down, in address order."""
-    d, x, y = cell.depth + 1, 3 * cell.x, 3 * cell.y
-    return (Cell(d, x, y), Cell(d, x, y + 2), Cell(d, x + 2, y), Cell(d, x + 2, y + 2))
-
-
-def cell_at(sigma: str, tau: str) -> Cell:
-    """The cell reached from the root by the digits of (sigma, tau)."""
-    cell = ROOT
-    for a, b in zip(sigma, tau):
-        cell = children(cell)[2 * (a == "2") + (b == "2")]
-    return cell
+    d, x, y = cell[0] + 1, 3 * cell[1], 3 * cell[2]
+    return ((d, x, y), (d, x, y + 2), (d, x + 2, y), (d, x + 2, y + 2))
 
 
 class TestCell:
     def test_root_address(self):
-        assert ROOT.address() == "(∅,∅)"
+        assert ROOT == (0, 0, 0)
         assert cell_mass(ROOT) == 1
 
     def test_address_round_trips(self):
         cell = cell_at("12", "21")
-        assert cell == Cell(2, 2, 6)
-        assert cell.address() == "(12,21)"
+        assert cell == (2, 2, 6)
+        # Descending by the digits of (sigma, tau) reaches the same cell.
+        walked = ROOT
+        for a, b in zip("12", "21"):
+            walked = children(walked)[2 * (a == "2") + (b == "2")]
+        assert walked == cell
         assert cell_mass(cell) == Fraction(1, 16)
-        scale = 3**cell.depth
-        assert cell_interval(BinaryWord("12")) == (
-            Fraction(cell.x, scale), Fraction(cell.x + 1, scale))
-        assert cell_interval(BinaryWord("21")) == (
-            Fraction(cell.y, scale), Fraction(cell.y + 1, scale))
+        depth, x, y = cell
+        scale = 3**depth
+        assert cell_interval(BinaryWord("12")) == (Fraction(x, scale), Fraction(x + 1, scale))
+        assert cell_interval(BinaryWord("21")) == (Fraction(y, scale), Fraction(y + 1, scale))
 
     def test_children_masses_sum_to_parent(self):
         cell = cell_at("12", "21")
         subcells = children(cell)
-        assert [c.address() for c in subcells] == [
-            "(121,211)", "(121,212)", "(122,211)", "(122,212)"]
+        assert subcells == (cell_at("121", "211"), cell_at("121", "212"),
+                            cell_at("122", "211"), cell_at("122", "212"))
         assert sum(cell_mass(c) for c in subcells) == cell_mass(cell)
 
 
@@ -99,16 +98,18 @@ class TestResolveCell:
     """Which codeword owns a whole cell, read off iter_assignments."""
 
     def test_left_cell_owned_by_left_point(self):
-        owners = {a.cell.address(): a.owner for a in iter_assignments(HORIZONTAL_PAIR, 1)}
-        assert owners == {"(1,1)": 0, "(1,2)": 0, "(2,1)": 1, "(2,2)": 1}
+        owners = {a[:3]: a.owner for a in iter_assignments(HORIZONTAL_PAIR, 1)}
+        assert owners == {cell_at("1", "1"): 0, cell_at("1", "2"): 0,
+                          cell_at("2", "1"): 1, cell_at("2", "2"): 1}
 
     def test_root_is_contested(self):
         assigns = list(iter_assignments(HORIZONTAL_PAIR, 0))
-        assert assigns == [CellAssignment(ROOT, UNRESOLVED)]
+        assert assigns == [CellAssignment(*ROOT, None)]
+        assert CellAssignment._fields == ("depth", "x", "y", "owner")
 
     def test_single_point_owns_everything(self):
         assigns = list(iter_assignments(book_of(("1/2", "1/2")), 5))
-        assert assigns == [CellAssignment(ROOT, 0)]
+        assert assigns == [CellAssignment(*ROOT, 0)]
 
 
 class TestCertifiedInterval:
@@ -198,8 +199,8 @@ class TestAssignments:
         total = Fraction(0)
         owners = set()
         for assign in iter_assignments(optimal_codebook(4), 8):
-            assert assign.owner is not UNRESOLVED
-            total += cell_mass(assign.cell)
+            assert assign.owner is not None
+            total += cell_mass(assign)
             owners.add(assign.owner)
         assert total == 1
         assert owners == {0, 1, 2, 3}
@@ -208,11 +209,11 @@ class TestAssignments:
         assigns = list(iter_assignments(book_of(("1/2", "1/2")), 0))
         assert len(assigns) == 1
         assert assigns[0].owner == 0
-        assert assigns[0].cell.address() == "(∅,∅)"
+        assert assigns[0][:3] == cell_at("", "")
 
     def test_contested_cells_reported_at_cutoff(self):
         owners = [a.owner for a in iter_assignments(DIAGONAL_PAIR, 3)]
-        assert UNRESOLVED in owners
+        assert None in owners
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError):
@@ -243,13 +244,12 @@ class TestLloydStep:
         assert iv.lower > quantization_error(4)
 
     def test_unresolved_step_raises_with_cells(self):
+        # The step stops at the first contested leaf of the walk.
         with pytest.raises(ResolutionError) as info:
             lloyd_step(DIAGONAL_PAIR, 6)
-        err = info.value
-        assert err.depth == 6
-        assert 0 < len(err.cells) <= ResolutionError.NAMED_LIMIT
-        assert err.truncated
-        assert "at least" in str(err)
+        first = next(a for a in iter_assignments(DIAGONAL_PAIR, 6) if a.owner is None)
+        assert info.value.cell == first
+        assert first.depth == 6
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError, match=r"^depth must be >= 0, got -1$"):
@@ -404,8 +404,8 @@ def ref_children(rect):
             for a, ax0, ax1 in xs for b, by0, by1 in ys]
 
 
-def ref_address(rect):
-    return f"({rect[0] or '∅'},{rect[1] or '∅'})"
+def ref_position(rect):
+    return cell_at(rect[0], rect[1])
 
 
 def ref_mass(rect):
@@ -487,7 +487,7 @@ def ref_assignments(codebook, depth):
         if len(surv) == 1:
             yield rect, surv[0]
         elif len(rect[0]) >= depth:
-            yield rect, UNRESOLVED
+            yield rect, None
         else:
             for child in reversed(ref_children(rect)):
                 stack.append((child, surv))
@@ -498,20 +498,14 @@ def ref_lloyd_step(codebook, depth):
     mass = [Fraction(0)] * k
     mx = [Fraction(0)] * k
     my = [Fraction(0)] * k
-    failed = []
     for rect, owner in ref_assignments(codebook, depth):
-        if owner is UNRESOLVED:
-            failed.append(ref_address(rect))
-            if len(failed) >= ResolutionError.NAMED_LIMIT:
-                raise ResolutionError(depth, failed, truncated=True)
-            continue
+        if owner is None:
+            raise ResolutionError(CellAssignment(*ref_position(rect), None))
         _, _, x0, x1, y0, y1 = rect
         m = ref_mass(rect)
         mass[owner] += m
         mx[owner] += m * (x0 + x1) / 2
         my[owner] += m * (y0 + y1) / 2
-    if failed:
-        raise ResolutionError(depth, failed)
     empty = [i for i in range(k) if mass[i] == 0]
     if empty:
         raise EmptyRegionError(empty)
@@ -582,32 +576,37 @@ class TestAgainstReferenceWalker:
     @pytest.mark.parametrize("family", sorted(CORPUS))
     def test_partitions_match(self, family):
         for book, _, _, depth in CORPUS[family]:
-            got = [(a.cell.address(), cell_mass(a.cell), a.owner)
-                   for a in iter_assignments(book, depth)]
-            want = [(ref_address(r), ref_mass(r), owner)
-                    for r, owner in ref_assignments(book, depth)]
-            assert got == want
+            want = [(*ref_position(r), owner) for r, owner in ref_assignments(book, depth)]
+            assert list(iter_assignments(book, depth)) == want
 
     @pytest.mark.parametrize("family", [*sorted(CORPUS), "moving"])
     def test_lloyd_steps_match(self, family):
-        # Every CORPUS book is a fixed point or never resolves, so only the
-        # moving input checks a step that moves.
+        # The optimal books are fixed points and the other CORPUS books
+        # never resolve, so only the moving input checks a step that moves.
+        # A ResolutionError's text names its cell, so the first contested
+        # cell of each unresolved step is compared too.
         if family == "moving":
-            nudged = nudged_books()
-            assert len(nudged) == 236
-            entries = nudged + lloyd_paths()
+            nudged, paths = nudged_books(), lloyd_paths()
+            assert (len(nudged), len(paths)) == (236, 6)
+            entries = nudged + paths
         else:
             entries = CORPUS[family]
         for book, _, _, depth in entries:
             got = step_outcome(lloyd_step, book, depth)
             assert got == step_outcome(ref_lloyd_step, book, depth)
-            assert family != "moving" or got != book
+            if family == "optimal":
+                assert got == book
+            elif family == "moving":
+                assert isinstance(got, Codebook) and got != book
+            else:
+                assert type(got) is tuple and got[0] == "ResolutionError"
 
 
 def old_survivors(book, cell, active):
     """The filter kernel as it was before it took bare integers."""
     d, coords, norms = book.scale, book.coords, book.norms
-    x, y, s = cell.x, cell.y, 3**cell.depth
+    depth, x, y = cell
+    s = 3**depth
     cx, cy, s2 = (2 * x + 1) * d, (2 * y + 1) * d, 2 * s
     z = best = None
     for i in active:
@@ -630,8 +629,9 @@ def old_lower_gap(book, cell, active):
         return lo - v if v < lo else v - hi if v > hi else 0
 
     d = book.scale
-    s2 = 2 * 3**cell.depth
-    x0, y0, side = 2 * cell.x * d, 2 * cell.y * d, 2 * d
+    depth, x, y = cell
+    s2 = 2 * 3**depth
+    x0, y0, side = 2 * x * d, 2 * y * d, 2 * d
     return min(
         outside(x0, x0 + side, s2 * a) ** 2 + outside(y0, y0 + side, s2 * b) ** 2
         for a, b in (book.coords[i] for i in active)
@@ -640,7 +640,7 @@ def old_lower_gap(book, cell, active):
 
 @pytest.mark.parametrize("family", ["optimal", "random", "wide"])
 def test_kernel_matches_its_former_form(family):
-    """split and lower_gap against the Cell-taking kernel they replace, on
+    """split and lower_gap against the cell-taking kernel they replace, on
     every cell of the depth-first walk to each entry's partition depth."""
     cells = 0
     for book, _, _, depth in CORPUS[family]:
@@ -649,45 +649,15 @@ def test_kernel_matches_its_former_form(family):
         while stack:
             cell, active = stack.pop()
             want = old_survivors(lattice, cell, active)
-            assert lattice.split(cell.depth, cell.x, cell.y, active) == want
+            assert lattice.split(*cell, active) == want
             one = want[:1]  # a single active codeword
-            assert (lattice.split(cell.depth, cell.x, cell.y, one)
-                    == old_survivors(lattice, cell, one))
+            assert lattice.split(*cell, one) == old_survivors(lattice, cell, one)
             surv = want[2]
-            assert (lattice.lower_gap(cell.depth, cell.x, cell.y, surv)
-                    == old_lower_gap(lattice, cell, surv))
+            assert lattice.lower_gap(*cell, surv) == old_lower_gap(lattice, cell, surv)
             cells += 1
-            if len(surv) > 1 and cell.depth < depth:
+            if len(surv) > 1 and cell[0] < depth:
                 stack.extend((child, surv) for child in children(cell))
     assert cells > 10 * len(CORPUS[family])
-
-
-def old_lloyd_step(codebook, depth):
-    """lloyd_step as it was before codebooks were held as numerator pairs:
-    the same integer sums, then one Fraction per coordinate and Codebook.of."""
-    k = len(codebook)
-    mass, mx, my = [0] * k, [0] * k, [0] * k
-    failed = []
-    for c, x, y, owner in _walk(_LatticeBook(codebook), k, depth):
-        if owner is UNRESOLVED:
-            failed.append(Cell(c, x, y).address())
-            if len(failed) >= ResolutionError.NAMED_LIMIT:
-                raise ResolutionError(depth, failed, truncated=True)
-            continue
-        w = 12 ** (depth - c)
-        mass[owner] += 4 ** (depth - c)
-        mx[owner] += w * (2 * x + 1)
-        my[owner] += w * (2 * y + 1)
-    if failed:
-        raise ResolutionError(depth, failed)
-    empty = [i for i in range(k) if mass[i] == 0]
-    if empty:
-        raise EmptyRegionError(empty)
-    unit = 2 * 3**depth
-    return Codebook.of(
-        Point(Fraction(mx[i], unit * mass[i]), Fraction(my[i], unit * mass[i]))
-        for i in range(k)
-    )
 
 
 def lloyd_paths(starts=40, depth=12):
@@ -719,41 +689,45 @@ def nudged_books(depth=12):
     return books
 
 
-@pytest.mark.parametrize("family", [*sorted(CORPUS), "lloyd-paths"])
-def test_lloyd_step_matches_its_fraction_tail(family):
-    """The centroids reduced over one lcm give the codebook, and the points,
-    that one Fraction per coordinate gave."""
-    entries = lloyd_paths() if family == "lloyd-paths" else CORPUS[family]
-    moved = 0
-    for book, _, _, depth in entries:
-        got = step_outcome(lloyd_step, book, depth)
-        want = step_outcome(old_lloyd_step, book, depth)
-        assert got == want
-        if isinstance(got, Codebook):
-            assert got.points == want.points
-            moved += got != book
-    # The optimal codebooks are fixed points, the other corpus books do
-    # not resolve, and every codebook on a path moves.
-    assert moved == (len(entries) if family == "lloyd-paths" else 0)
-    assert family != "lloyd-paths" or moved >= 5
+# The square's eight symmetries, each as a map of the point (x, y).
+DIHEDRAL = [
+    lambda x, y: (x, y), lambda x, y: (1 - x, y),
+    lambda x, y: (x, 1 - y), lambda x, y: (1 - x, 1 - y),
+    lambda x, y: (y, x), lambda x, y: (1 - y, x),
+    lambda x, y: (y, 1 - x), lambda x, y: (1 - y, 1 - x),
+]
+
+
+def image(t, book):
+    return Codebook.of(Point(*t(p.x, p.y)) for p in book)
 
 
 def test_dihedral_images_give_identical_enclosures():
     """The measure is invariant under the square's eight symmetries."""
-    one = Fraction(1)
-    maps = [
-        lambda x, y: (x, y), lambda x, y: (one - x, y),
-        lambda x, y: (x, one - y), lambda x, y: (one - x, one - y),
-        lambda x, y: (y, x), lambda x, y: (one - y, x),
-        lambda x, y: (y, one - x), lambda x, y: (one - y, one - x),
-    ]
     tiny = Fraction(1, 10**30)
     contested = [book for book in random_books(12, seed=88)
                  if not exact_distortion(book, tiny, 6).exact]
     assert len(contested) >= 6
     for book in contested:
-        images = {
-            exact_distortion(Codebook.of(Point(*t(p.x, p.y)) for p in book), tiny, 6)
-            for t in maps
-        }
+        images = {exact_distortion(image(t, book), tiny, 6) for t in DIHEDRAL}
         assert len(images) == 1
+
+
+def test_lloyd_step_commutes_with_the_symmetries():
+    """The measure and its cell tree are invariant under the square's
+    symmetries, so a step from the image of a codebook is the image of the
+    step, or both fail alike.  A ResolutionError names a cell, which the
+    symmetry moves, so failures are compared by class."""
+    def outcome(book, depth):
+        got = step_outcome(lloyd_step, book, depth)
+        return got if isinstance(got, Codebook) else got[0]
+
+    moving = nudged_books() + lloyd_paths()
+    kinds = []
+    for book, _, _, depth in moving + CORPUS["random"]:
+        want = outcome(book, depth)
+        kinds.append(want != book if isinstance(want, Codebook) else want)
+        for t in DIHEDRAL:
+            got = outcome(image(t, book), depth)
+            assert got == (image(t, want) if isinstance(want, Codebook) else want)
+    assert kinds == [True] * len(moving) + ["ResolutionError"] * len(CORPUS["random"])

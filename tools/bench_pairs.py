@@ -7,7 +7,8 @@
 Each tree is a checkout of the repository with its own ``perfbench/``
 and ``src/``; the benchmark of each tree runs against that tree.  The
 run length and each metric's direction and bound are read from the
-change's ``BENCHMARK.json``.  One pair runs ``perfbench/run.py
+change's ``BENCHMARK.json``, and every ``--pairs`` and ``--trace``
+workload must be one of its workloads.  One pair runs ``perfbench/run.py
 --workload W --seed S --seconds T`` in both trees, one after the
 other: the parent first on odd seeds, the change first on even ones.
 Seeds count up from ``--first-seed``, and the workloads take turns, one
@@ -131,6 +132,10 @@ def main(argv=None) -> int:
         parser.error(f"--claim {args.claim} has no --pairs")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    for w in [*counts, *args.trace]:
+        if w not in workloads:
+            parser.error(f"unknown workload {w!r}; BENCHMARK.json has {', '.join(workloads)}")
     seconds = spec["run_seconds"]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
 
