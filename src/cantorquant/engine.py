@@ -16,10 +16,15 @@ four children.  Contested cells at the depth limit contribute certified
 lower and upper bounds instead, so the result is always a correct
 enclosure, and it is exact whenever the recursion terminates.
 
-Two walks share the one filter kernel, _LatticeBook.split: the
-best-first exact_distortion and the depth-first _walk under
-iter_assignments and lloyd_step.  Both carry cells as bare (depth, x, y)
-integers, and a leaf of _walk is one (depth, x, y, owner) CellAssignment.
+Two walks share the one filter kernel: the best-first exact_distortion
+and the depth-first _walk under iter_assignments and lloyd_step.  Both
+carry cells as bare (depth, x, y) integers, take the root from
+_LatticeBook.split and every other cell from _LatticeBook.children, which
+expands a cell's four children in one pass and keeps them.  The lattice
+book of the last codebook walked is kept as well, so a second walk of
+one codebook (lloyd_step after exact_distortion) reuses the tree that
+the first expanded.  A leaf of _walk is one (depth, x, y, owner)
+CellAssignment.
 Distances appear only squared; no roots, no rounding.  exact_distortion
 sums its bounds as integers in the unit 1/(4 * 36^deep * D^2), D the
 codebook's denominator and deep the depth of the deepest cell met so
@@ -29,6 +34,7 @@ and writes no text: the CLI parses codebook files and prints intervals.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -76,6 +82,9 @@ class _LatticeBook:
       the edge of a half-plane;
     - so each extra survivor is dominated by an all-pairs survivor, which
       is at least as near the midpoint and the cell rectangle.
+
+    root is split's result for the root cell, and tree holds children's
+    result for every cell expanded so far, for the life of the book.
     """
 
     def __init__(self, codebook: Codebook):
@@ -83,6 +92,8 @@ class _LatticeBook:
         self.coords = codebook.pairs
         self.norms = [a * a + b * b for a, b in self.coords]
         self.scaled = [(2 * d * a, 2 * d * b) for a, b in self.coords]  # u = 2D P_i - 2D P_j
+        self.root = self.split(0, 0, 0, tuple(range(len(codebook))))
+        self.tree: dict[tuple[int, int, int], tuple] = {}
 
     def split(self, depth: int, x: int, y: int, active: tuple[int, ...]) -> tuple:
         """(z, gap, survivors) for the depth-d cell at (x, y): z is the
@@ -110,6 +121,66 @@ class _LatticeBook:
                 keep.append(i)
         return z, best, tuple(keep)
 
+    def children(self, depth: int, x: int, y: int, active: tuple[int, ...]) -> tuple:
+        """split's (z, gap, survivors) for each of the four children of the
+        depth-d cell at (x, y), in address order, each filtered from active.
+
+        The children sit at (3x + 2e, 3y + 2f) for e, f in {0, 1}, and
+        child (e, f)'s squared midpoint offset is gx[e] + gy[f]: one pass
+        over active finds the four nearest codewords from four squares per
+        codeword, a second runs the four filter tests.  The result is kept
+        per parent cell.  Both walks reach a cell only with its parent's
+        survivors as active, and the root's are all codewords, so
+        (depth, x, y) names the result and a second walk of the codebook
+        reuses the first walk's tree."""
+        key = depth, x, y
+        if (kids := self.tree.get(key)) is not None:
+            return kids
+        coords, d, s = self.coords, self.scale, 3 ** (depth + 1)
+        x, y, s2, step = 3 * x, 3 * y, 2 * s, 4 * d
+        cx, cy = (2 * x + 1) * d, (2 * y + 1) * d
+        b0 = b1 = b2 = b3 = math.inf  # the first codeword sets every z
+        for i in active:
+            a, b = coords[i]
+            ex, ey = cx - s2 * a, cy - s2 * b
+            # gx[0], gx[1], gy[0], gy[1] of the docstring
+            gx, hx, gy, hy = ex * ex, (ex + step) ** 2, ey * ey, (ey + step) ** 2
+            if gx + gy < b0:
+                z0, b0 = i, gx + gy
+            if gx + hy < b1:
+                z1, b1 = i, gx + hy
+            if hx + gy < b2:
+                z2, b2 = i, hx + gy
+            if hx + hy < b3:
+                z3, b3 = i, hx + hy
+        # j dominates i on the child at (X, Y) when h(i) + max(x_i, x_j) +
+        # max(y_i, y_j) <= h(j) + x_j + y_j, h(i) = X x_i + Y y_i - s |P_i|^2
+        # over the scaled pairs (x_i, y_i): split's corner test, rearranged.
+        scaled, norms = self.scaled, self.norms
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = scaled[z0], scaled[z1], scaled[z2], scaled[z3]
+        t0 = (x + 1) * x0 + (y + 1) * y0 - s * norms[z0]
+        t1 = (x + 1) * x1 + (y + 3) * y1 - s * norms[z1]
+        t2 = (x + 3) * x2 + (y + 1) * y2 - s * norms[z2]
+        t3 = (x + 3) * x3 + (y + 3) * y3 - s * norms[z3]
+        k0, k1, k2, k3 = [], [], [], []
+        for i in active:  # h visits the children at offsets (0, 0), (0, 2), (2, 2), (2, 0)
+            xi, yi = scaled[i]
+            h = x * xi + y * yi - s * norms[i]
+            if i == z0 or h + (xi if xi > x0 else x0) + (yi if yi > y0 else y0) > t0:
+                k0.append(i)
+            h += 2 * yi
+            if i == z1 or h + (xi if xi > x1 else x1) + (yi if yi > y1 else y1) > t1:
+                k1.append(i)
+            h += 2 * xi
+            if i == z3 or h + (xi if xi > x3 else x3) + (yi if yi > y3 else y3) > t3:
+                k3.append(i)
+            h -= 2 * yi
+            if i == z2 or h + (xi if xi > x2 else x2) + (yi if yi > y2 else y2) > t2:
+                k2.append(i)
+        kids = self.tree[key] = (
+            (z0, b0, tuple(k0)), (z1, b1, tuple(k1)), (z2, b2, tuple(k2)), (z3, b3, tuple(k3)))
+        return kids
+
     def lower_gap(self, depth: int, x: int, y: int, active: tuple[int, ...]) -> int:
         """Squared distance from the depth-d cell at (x, y) to its nearest
         active codeword, in the units of split's midpoint gap."""
@@ -126,6 +197,11 @@ class _LatticeBook:
             if best is None or gap < best:
                 best = gap
         return best
+
+
+# The lattice book of the last codebook walked, so that a second question
+# about it (exact_distortion, then lloyd_step) walks the tree once.
+_lattice = functools.lru_cache(maxsize=1)(_LatticeBook)
 
 
 class ResolutionError(Exception):
@@ -198,7 +274,7 @@ def exact_distortion(
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     tol_num, tol_den = tolerance.numerator, tolerance.denominator
-    book = _LatticeBook(codebook)
+    book = _lattice(codebook)
     d2 = book.scale**2
     # Bounds are numerators over unit = 4 * 36^deep * D^2; a depth-c
     # numerator is lifted to it by f = 36^(deep - c).  New cells are the
@@ -209,8 +285,8 @@ def exact_distortion(
     resolved = open_lo = open_up = 0
     heap: list[tuple] = []
     tick = itertools.count()
-    # Each pass splits the root, or the four children of a popped cell.
-    depth, cells, active = 0, ((0, 0),), tuple(range(len(codebook)))
+    # Each pass takes the root, or the four children of a popped cell.
+    depth, cells = 0, (((0, 0), book.root),)
     while True:
         if depth > deep:
             deep, unit = depth, 36 * unit
@@ -218,8 +294,7 @@ def exact_distortion(
             heap[:] = [(36 * key, t, c, x, y, s, 36 * lo, 36 * up)
                        for key, t, c, x, y, s, lo, up in heap]
         f = 36 ** (deep - depth)
-        for x, y in cells:
-            _, gap, surv = book.split(depth, x, y, active)
+        for (x, y), (_, gap, surv) in cells:
             up = (d2 + gap) * f
             if len(surv) == 1:
                 resolved += up
@@ -234,31 +309,31 @@ def exact_distortion(
         _, _, depth, x, y, active, lo, up = heapq.heappop(heap)
         open_lo -= lo
         open_up -= up
+        kids = book.children(depth, x, y, active)
         depth, x, y = depth + 1, 3 * x, 3 * y
-        cells = ((x, y), (x, y + 2), (x + 2, y), (x + 2, y + 2))
+        cells = zip(((x, y), (x, y + 2), (x + 2, y), (x + 2, y + 2)), kids)
     return CertifiedInterval(
         Fraction(resolved + open_lo, unit),
         Fraction(resolved + open_up, unit),
     )
 
 
-def _walk(book: _LatticeBook, n: int, depth: int) -> Iterator[tuple[int, int, int, int | None]]:
+def _walk(book: _LatticeBook, depth: int) -> Iterator[tuple[int, int, int, int | None]]:
     """Depth-first over the cell tree: (depth, x, y, owner) per maximal
     resolved cell, and owner None per cell still contested at the cutoff."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    stack = [(0, 0, 0, tuple(range(n)))]
+    stack = [(0, 0, 0, book.root[2])]
     while stack:
-        c, x, y, active = stack.pop()
-        _, _, surv = book.split(c, x, y, active)
+        c, x, y, surv = stack.pop()
         if len(surv) == 1:
             yield c, x, y, surv[0]
         elif c >= depth:
             yield c, x, y, None
         else:
+            (_, _, s0), (_, _, s1), (_, _, s2), (_, _, s3) = book.children(c, x, y, surv)
             c, x, y = c + 1, 3 * x, 3 * y
-            stack += ((c, x + 2, y + 2, surv), (c, x + 2, y, surv),
-                      (c, x, y + 2, surv), (c, x, y, surv))
+            stack += ((c, x + 2, y + 2, s3), (c, x + 2, y, s2), (c, x, y + 2, s1), (c, x, y, s0))
 
 
 def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]:
@@ -269,7 +344,7 @@ def iter_assignments(codebook: Codebook, depth: int) -> Iterator[CellAssignment]
     descendants.  Cells still contested at the cutoff are yielded with
     owner None, in the depth-first order of the walk.
     """
-    return map(CellAssignment._make, _walk(_LatticeBook(codebook), len(codebook), depth))
+    return map(CellAssignment._make, _walk(_lattice(codebook), depth))
 
 
 def lloyd_step(codebook: Codebook, depth: int) -> Codebook:
@@ -286,7 +361,7 @@ def lloyd_step(codebook: Codebook, depth: int) -> Codebook:
     # (2 * 3^depth), the cell midpoint being (2x+1) / (2 * 3^d); a depth-c
     # cell weighs 4^u and 12^u in them, u = depth - c.
     mass, mx, my = [0] * k, [0] * k, [0] * k
-    for c, x, y, owner in _walk(_LatticeBook(codebook), k, depth):
+    for c, x, y, owner in _walk(_lattice(codebook), depth):
         if owner is None:
             raise ResolutionError(CellAssignment(c, x, y, None))
         w = 12 ** (depth - c)

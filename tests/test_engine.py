@@ -23,6 +23,8 @@ from cantorquant.engine import (
     lloyd_step,
     multistart_search,
     _LatticeBook,
+    _MAX_ITERS,
+    _lattice,
 )
 from cantorquant.measure import cell_interval, cell_moments, dist2
 from cantorquant.optimal import (
@@ -638,12 +640,18 @@ def old_lower_gap(book, cell, active):
     )
 
 
-@pytest.mark.parametrize("family", ["optimal", "random", "wide"])
+# Random 2^-20 books of the dust benchmark's kind, walked deeper than the
+# random family, where the lattice integers grow large.
+DUST_BOOKS = [(book, None, None, 16) for book in random_books(6, seed=2026, sizes=(2, 5))]
+
+
+@pytest.mark.parametrize("family", ["optimal", "random", "wide", "dust"])
 def test_kernel_matches_its_former_form(family):
     """split and lower_gap against the cell-taking kernel they replace, on
-    every cell of the depth-first walk to each entry's partition depth."""
-    cells = 0
-    for book, _, _, depth in CORPUS[family]:
+    every cell of the depth-first walk to each entry's partition depth, and
+    children against split on each child of every cell it expands."""
+    cells, entries = 0, DUST_BOOKS if family == "dust" else CORPUS[family]
+    for book, _, _, depth in entries:
         lattice = _LatticeBook(book)
         stack = [(ROOT, tuple(range(len(book))))]
         while stack:
@@ -656,8 +664,46 @@ def test_kernel_matches_its_former_form(family):
             assert lattice.lower_gap(*cell, surv) == old_lower_gap(lattice, cell, surv)
             cells += 1
             if len(surv) > 1 and cell[0] < depth:
+                kids = _LatticeBook(book).children(*cell, surv)
+                assert kids == tuple(lattice.split(*child, surv) for child in children(cell))
                 stack.extend((child, surv) for child in children(cell))
-    assert cells > 10 * len(CORPUS[family])
+    assert cells > 10 * len(entries)
+
+
+def test_the_lattice_cache_cannot_change_a_result():
+    """exact_distortion, lloyd_step and iter_assignments of each CORPUS
+    book give the values they give on a fresh cache: in either order,
+    after a shallow walk that left the tree half expanded, with another
+    book walked in between, and for an equal but distinct Codebook."""
+    def questions(book, tol, max_depth, depth):
+        return {
+            "exact": lambda: exact_distortion(book, tol, max_depth),
+            "step": lambda: step_outcome(lloyd_step, book, depth),
+            "assignments": lambda: list(iter_assignments(book, depth)),
+        }
+
+    entries = [entry for family in sorted(CORPUS) for entry in CORPUS[family]]
+    for k, (book, tol, max_depth, depth) in enumerate(entries):
+        ask = questions(book, tol, max_depth, depth)
+        want = {}
+        for name, call in ask.items():
+            _lattice.cache_clear()
+            want[name] = call()
+        for order in (list(ask), list(ask)[::-1]):
+            for shallow in (False, True):
+                _lattice.cache_clear()
+                if shallow:
+                    exact_distortion(book, tol, 2)
+                assert {name: ask[name]() for name in order} == want
+        other, got = questions(*entries[k - 1]), {}
+        for name, call in ask.items():
+            got[name] = call()
+            other[name]()
+        assert got == want
+        twin = Codebook(book.den, tuple(list(book.pairs)))
+        assert twin == book and twin is not book
+        exact_distortion(book, tol, 2)
+        assert {name: call() for name, call in questions(twin, tol, max_depth, depth).items()} == want
 
 
 def lloyd_paths(starts=40, depth=12):
@@ -667,7 +713,10 @@ def lloyd_paths(starts=40, depth=12):
     for n in (2, 3, 4, 5):
         for _ in range(starts):
             book = Codebook.of(Point(rng.next_fraction(), rng.next_fraction()) for _ in range(n))
-            while isinstance(nxt := step_outcome(lloyd_step, book, depth), Codebook) and nxt != book:
+            for _ in range(_MAX_ITERS):  # lloyd's cap: a step that never settles fails, not hangs
+                nxt = step_outcome(lloyd_step, book, depth)
+                if not isinstance(nxt, Codebook) or nxt == book:
+                    break
                 books.append(book)
                 book = nxt
     return [(book, None, None, depth) for book in books]
